@@ -14,12 +14,9 @@ Exit codes: 0 success, 1 usage error, 2 bad data or failed validation,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,7 +76,9 @@ def build_parser() -> _Parser:
     p.add_argument("--ties", choices=["left", "right"], default="left")
     p.add_argument("--annotate", action="store_true",
                    help="label the output trees with the label head")
-    p.add_argument("--jobs", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="accepted for compatibility; parsing runs on one "
+                        "thread")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold trees")
@@ -89,7 +88,9 @@ def build_parser() -> _Parser:
     p.add_argument("--no-full-span", action="store_true",
                    help="exclude the whole-sentence bracket")
     p.add_argument("--csv", default=None, help="write per-bucket stats here")
-    p.add_argument("--jobs", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="accepted for compatibility; scoring runs on one "
+                        "thread")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("train", help="train a distance predictor")
@@ -208,7 +209,7 @@ def write_run_json(path, ns, resolved=None) -> None:
     """Record the fully resolved options of a run next to its output.
 
     ``resolved`` supplies values for options whose flags were left at
-    None and filled in elsewhere (training settings, worker counts)."""
+    None and filled in elsewhere (training settings)."""
     options = {k: v for k, v in vars(ns).items() if k != "func"}
     if resolved:
         options.update(resolved)
@@ -222,14 +223,6 @@ def write_run_json(path, ns, resolved=None) -> None:
 def _resolved_training(config: TrainingConfig) -> dict:
     return {flag: getattr(config, field)
             for flag, field in _TRAIN_FLAG_FIELDS.items()}
-
-
-def _parallel_map(fn, items, jobs):
-    jobs = jobs or os.cpu_count() or 1
-    if jobs == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _read_sentences(path) -> list:
@@ -280,13 +273,9 @@ def cmd_convert(ns) -> None:
 
 def cmd_parse(ns) -> None:
     model = DistancePredictor.load(ns.model)
-    sentences = _read_sentences(ns.infile)
-
-    def parse_one(tokens):
-        return predictor.predict_tree(model, tokens, head=ns.head,
-                                      ties=ns.ties, annotate=ns.annotate)
-
-    trees = _parallel_map(parse_one, sentences, ns.jobs)
+    trees = [predictor.predict_tree(model, tokens, head=ns.head, ties=ns.ties,
+                                    annotate=ns.annotate)
+             for tokens in _read_sentences(ns.infile)]
     treebank.dump_trees(treebank.Treebank(trees), ns.out)
     write_run_json(str(ns.out) + ".run.json", ns)
 
@@ -296,7 +285,7 @@ def cmd_eval(ns) -> None:
     gold = treebank.load_trees(ns.gold)
     report = metrics.corpus_eval(pred, gold,
                                  include_full_span=not ns.no_full_span,
-                                 labeled=ns.labeled, jobs=ns.jobs)
+                                 labeled=ns.labeled)
     print(f"sentences={len(report.per_sentence_f1)}")
     print(f"macro_f1={report.macro_f1:.4f}")
     if report.labeled_f1 is not None:
@@ -306,10 +295,7 @@ def cmd_eval(ns) -> None:
             print(f"bucket[{b.name}] count={b.count} avg_f1={b.avg_f1:.4f}")
     if ns.csv:
         with open(ns.csv, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["range", "count", "avg_f1"])
-            for b in report.buckets:
-                writer.writerow([b.name, b.count, metrics.fmt_cell(b.avg_f1)])
+            metrics.write_eval_csv(report.buckets, f)
         write_run_json(str(ns.csv) + ".run.json", ns)
 
 

@@ -10,9 +10,11 @@ ranking of real values (larger value = higher split):
 * gap distances ("dg"): one value per adjacent-word gap, equal to the
   height of the lowest common ancestor of the two words.
 
-Decoding splits a span at its maximal interior value and recurses; ties
-break leftmost by default.  The module also defines the JSON-lines record
-format used to store distance supervision on disk.
+Both encoders derive from one in-order walk.  There is one decoder: it
+splits a span at its maximal gap value and recurses, ties breaking
+leftmost by default; a dl vector decodes as the gap vector ``dl[1:]``.
+The module also defines the JSON-lines record format used to store
+distance supervision on disk.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .treebank import Leaf, Node, Tree, leaf_count, tree_depth
+from .treebank import Leaf, Node, Tree
 
 DEFAULT_MAX_DEPTH = 100
 
@@ -42,52 +44,58 @@ def _require_binary(t: Tree) -> None:
             f"tree is not binary: node with {len(t.children)} children")
 
 
+def _walk_splits(t: Tree):
+    """One in-order walk over a binary tree.
+
+    Split k is the internal node whose right child starts at word k; the
+    walk meets splits in gap order.  Returns the tokens, each split's
+    depth (the root's is 0), each split's height as a float, and the
+    root's height.
+    """
+    tokens: list[str] = []
+    depths: list[int] = []
+    heights: list[float] = []
+
+    def walk(node: Tree, depth: int) -> int:
+        if isinstance(node, Leaf):
+            tokens.append(node.token)
+            return 0
+        _require_binary(node)
+        left, right = node.children
+        h_left = walk(left, depth + 1)
+        mark = len(heights)
+        depths.append(depth)
+        heights.append(0.0)  # placeholder until both heights are known
+        height = max(h_left, walk(right, depth + 1)) + 1
+        heights[mark] = float(height)
+        return height
+
+    return tokens, depths, heights, walk(t, 0)
+
+
+def _latent(depths: list[int], height: int, max_depth: int) -> list[float]:
+    if height >= max_depth:
+        raise ValueError(f"tree depth {height} >= max_depth {max_depth}")
+    return [1.0] + [float(max_depth - depth) for depth in depths]
+
+
 def tree_to_latent(t: Tree, max_depth: int = DEFAULT_MAX_DEPTH) -> list[float]:
     """Per-word latent distances of a binary tree.
 
-    Position 0 is initialized to 1.  Each internal node, visited with
-    value m (the root sees ``max_depth``), writes m at the first word of
-    its right subtree; both children recurse with m - 1.
+    Position 0 is 1; the first word of each internal node's right
+    subtree holds ``max_depth`` minus that node's depth, so the root's
+    split holds ``max_depth``.  Trees at least ``max_depth`` deep are
+    rejected.
     """
-    depth = tree_depth(t)
-    if depth >= max_depth:
-        raise ValueError(f"tree depth {depth} >= max_depth {max_depth}")
-    d = [1.0] * leaf_count(t)
-
-    def assign(node: Tree, base: int, m: int) -> None:
-        if isinstance(node, Leaf):
-            return
-        _require_binary(node)
-        left, right = node.children
-        n_left = leaf_count(left)
-        d[base + n_left] = float(m)
-        assign(left, base, m - 1)
-        assign(right, base + n_left, m - 1)
-
-    assign(t, 0, max_depth)
-    return d
+    _, depths, _, height = _walk_splits(t)
+    return _latent(depths, height, max_depth)
 
 
 def tree_to_gaps(t: Tree) -> list[float]:
     """Per-gap distances: gap value = height of the two words' lowest
-    common ancestor.  Built as dist(left) ++ [height] ++ dist(right)."""
-    out: list[float] = []
-
-    def walk(node: Tree) -> int:
-        if isinstance(node, Leaf):
-            return 0
-        _require_binary(node)
-        left, right = node.children
-        h_left = walk(left)
-        mark = len(out)
-        out.append(0.0)  # placeholder until both heights are known
-        h_right = walk(right)
-        height = max(h_left, h_right) + 1
-        out[mark] = float(height)
-        return height
-
-    walk(t)
-    return out
+    common ancestor, which is the split between them."""
+    _, _, heights, _ = _walk_splits(t)
+    return heights
 
 
 def _argmax(values: Sequence[float], lo: int, hi: int, ties: str) -> int:
@@ -103,20 +111,14 @@ def _argmax(values: Sequence[float], lo: int, hi: int, ties: str) -> int:
 
 def latent_to_tree(d: Sequence[float], tokens: Sequence[str],
                    ties: str = "left") -> Tree:
-    """Decode per-word distances: split where the interior maximum opens
-    the right subtree, then recurse on both sides."""
+    """Decode per-word distances.  Position 0 never splits and position
+    k > 0 marks the gap before word k, so this is the gap decoder on
+    ``d[1:]``."""
     if len(d) != len(tokens):
         raise ValueError(f"got {len(d)} distances for {len(tokens)} tokens")
     if not tokens:
         raise ValueError("cannot decode an empty sentence")
-
-    def build(i: int, j: int) -> Tree:
-        if j - i == 1:
-            return Leaf(tokens[i])
-        k = _argmax(d, i + 1, j, ties)
-        return Node(None, (build(i, k), build(k, j)))
-
-    return build(0, len(tokens))
+    return gaps_to_tree(d[1:], tokens, ties)
 
 
 def gaps_to_tree(d: Sequence[float], tokens: Sequence[str],
@@ -159,11 +161,12 @@ class DistanceRecord:
 
 def record_from_tree(t: Tree, max_depth: int = DEFAULT_MAX_DEPTH,
                      agreement: Optional[int] = None) -> DistanceRecord:
-    from .treebank import leaves
+    """Both encodings of a binary tree from one walk."""
+    tokens, depths, heights, height = _walk_splits(t)
     return DistanceRecord(
-        tokens=tuple(leaves(t)),
-        dl=tuple(tree_to_latent(t, max_depth)),
-        dg=tuple(tree_to_gaps(t)),
+        tokens=tuple(tokens),
+        dl=tuple(_latent(depths, height, max_depth)),
+        dg=tuple(heights),
         agreement=agreement,
     )
 

@@ -12,8 +12,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .treebank import (Leaf, Node, Tree, Treebank, base_label, leaves,
-                       tree_depth)
+from .treebank import Tree, Treebank, base_label, leaves, spans, tree_depth
 
 # Sentence-length buckets used by the analysis tables: a length L falls
 # into the first bucket with lo < L <= hi.
@@ -39,26 +38,16 @@ def brackets(t: Tree, include_full_span: bool = True,
     are never included.  With ``labeled``, spans carry their base label
     (binarization marks stripped, missing labels become "").
     """
-    spans = []
-
-    def walk(node: Tree, start: int) -> int:
-        if isinstance(node, Leaf):
-            return start + 1
-        end = start
-        for c in node.children:
-            end = walk(c, end)
-        if end - start >= 2:
-            if labeled:
-                spans.append((start, end, base_label(node.label) or ""))
-            else:
-                spans.append((start, end))
-        return end
-
-    n = walk(t, 0)
+    nodes = spans(t)
+    widest = nodes[-1][1] if nodes else 0  # the root, last, covers every word
     if not include_full_span:
-        full = (0, n)
-        spans = [s for s in spans if (s[0], s[1]) != full]
-    return frozenset(spans)
+        widest -= 1
+    if labeled:
+        return frozenset([(start, end, base_label(node.label) or "")
+                          for start, end, node in nodes
+                          if 2 <= end - start <= widest])
+    return frozenset([(start, end) for start, end, _ in nodes
+                      if 2 <= end - start <= widest])
 
 
 def sentence_f1(pred: Tree, gold: Tree, include_full_span: bool = True,
@@ -99,42 +88,26 @@ class EvalReport:
 
 
 def corpus_eval(pred: Treebank, gold: Treebank, include_full_span: bool = True,
-                labeled: bool = False, jobs: Optional[int] = None) -> EvalReport:
+                labeled: bool = False) -> EvalReport:
     """Macro-averaged unlabeled F1 with per-length-bucket aggregates.
 
     With ``labeled``, a labeled macro F1 is reported alongside (the
-    per-sentence vector stays unlabeled).  ``jobs`` bounds worker
-    threads; the report is identical to the sequential one."""
+    per-sentence vector stays unlabeled)."""
     if len(pred) != len(gold):
         raise ValueError(
             f"treebank sizes differ: {len(pred)} predicted vs {len(gold)} gold")
-
-    def score(pair):
-        i, (p, g) = pair
+    scores = []
+    labeled_scores = []
+    by_bucket: dict = {}
+    for i, (p, g) in enumerate(zip(pred, gold)):
         try:
             f1 = sentence_f1(p, g, include_full_span, labeled=False)
         except ValueError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
-        lab = (sentence_f1(p, g, include_full_span, labeled=True)
-               if labeled else None)
-        return f1, lab
-
-    pairs = list(enumerate(zip(pred, gold)))
-    if jobs is not None and jobs > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(score, pairs))
-    else:
-        scored = [score(pair) for pair in pairs]
-
-    scores = []
-    labeled_scores = []
-    by_bucket: dict = {}
-    for (i, (p, g)), (f1, lab) in zip(pairs, scored):
         scores.append(f1)
         if labeled:
-            labeled_scores.append(lab)
+            labeled_scores.append(
+                sentence_f1(p, g, include_full_span, labeled=True))
         by_bucket.setdefault(bucket_index(len(leaves(g))), []).append(f1)
     macro = sum(scores) / len(scores)
     buckets = []
@@ -232,3 +205,10 @@ def write_agreement_csv(rows: Sequence[AgreementRow], stream) -> None:
     for r in rows:
         writer.writerow([r.n_agree, r.count, fmt_cell(r.avg_f1), fmt_cell(r.avg_len),
                          fmt_cell(r.avg_depth)])
+
+
+def write_eval_csv(buckets: Sequence[BucketStat], stream) -> None:
+    writer = csv.writer(stream)
+    writer.writerow(["range", "count", "avg_f1"])
+    for b in buckets:
+        writer.writerow([b.name, b.count, fmt_cell(b.avg_f1)])

@@ -157,12 +157,10 @@ class TrainExample:
     @classmethod
     def from_tree(cls, t: Tree, max_depth: int = distance.DEFAULT_MAX_DEPTH,
                   keep_tree: bool = True) -> "TrainExample":
-        return cls(
-            tokens=tuple(treebank.leaves(t)),
-            dl=np.array(distance.tree_to_latent(t, max_depth), dtype=np.float64),
-            dg=np.array(distance.tree_to_gaps(t), dtype=np.float64),
-            tree=t if keep_tree else None,
-        )
+        ex = cls.from_record(distance.record_from_tree(t, max_depth))
+        if keep_tree:
+            ex.tree = t
+        return ex
 
     @classmethod
     def from_record(cls, rec: distance.DistanceRecord) -> "TrainExample":
@@ -350,29 +348,20 @@ def distance_loss(model: DistancePredictor, example: TrainExample,
 
 
 def gold_label_spans(model: DistancePredictor, t: Tree):
-    """(start, end, label id) for each internal node of a gold tree.
+    """(start, end, label id) for each internal node of a gold tree that
+    spans two words or more, in post-order.
 
     Labels outside the head's vocabulary map to the unknown label; the
     number of such spans is returned alongside.
     """
     spans = []
     unknown = 0
-
-    def walk(node: Tree, start: int) -> int:
-        nonlocal unknown
-        if isinstance(node, treebank.Leaf):
-            return start + 1
-        end = start
-        for c in node.children:
-            end = walk(c, end)
+    for start, end, node in treebank.spans(t):
         if end - start >= 2:
             name = treebank.base_label(node.label) or ""
             if name not in model._label_index:
                 unknown += 1
             spans.append((start, end, model.label_id(name)))
-        return end
-
-    walk(t, 0)
     return spans, unknown
 
 
@@ -573,11 +562,6 @@ def train(model: DistancePredictor, gold: Sequence[TrainExample],
 # Decoding
 
 
-def predict_distances(model: DistancePredictor, tokens: Sequence[str]):
-    fw = forward(model, tokens)
-    return fw.latent, fw.gap
-
-
 def predict_tree(model: DistancePredictor, tokens: Sequence[str],
                  head: str = "dl", ties: str = "left",
                  annotate: bool = False) -> Tree:
@@ -597,20 +581,14 @@ def predict_tree(model: DistancePredictor, tokens: Sequence[str],
 
 
 def _annotate(model: DistancePredictor, t: Tree, hidden: np.ndarray) -> Tree:
+    """Relabel every internal node by the label head's argmax over the
+    mean hidden state of its span."""
     p = model.params
-
-    def walk(node: Tree, start: int):
-        if isinstance(node, treebank.Leaf):
-            return node, start + 1
-        end = start
-        new_children = []
-        for c in node.children:
-            new_c, end = walk(c, end)
-            new_children.append(new_c)
+    rebuilt = {}  # id(old node) -> its relabeled copy
+    for start, end, node in treebank.spans(t):
         mean_h = hidden[start:end].mean(axis=0)
         logits = p.label_w @ mean_h + p.label_b
         name = model.labels[int(np.argmax(logits))]
-        return treebank.Node(name, tuple(new_children)), end
-
-    annotated, _ = walk(t, 0)
-    return annotated
+        rebuilt[id(node)] = treebank.Node(
+            name, tuple(rebuilt.get(id(c), c) for c in node.children))
+    return rebuilt.get(id(t), t)

@@ -61,9 +61,6 @@ class Treebank:
     def __iter__(self):
         return iter(self.sentences)
 
-    def __getitem__(self, i):
-        return self.sentences[i]
-
 
 @dataclass(frozen=True)
 class TreeStats:
@@ -102,6 +99,28 @@ def is_binary(t: Tree) -> bool:
 
 def tree_stats(t: Tree) -> TreeStats:
     return TreeStats(length=leaf_count(t), depth=tree_depth(t))
+
+
+def spans(t: Tree) -> list:
+    """(start, end, node) for every internal node, in post-order.
+
+    Offsets count words, end exclusive.  Children come before their
+    parent and left before right, so the root is last; unary nodes are
+    included, so widths may be 1 and spans may repeat.
+    """
+    out = []
+
+    def walk(node: Tree, start: int) -> int:
+        if isinstance(node, Leaf):
+            return start + 1
+        end = start
+        for c in node.children:
+            end = walk(c, end)
+        out.append((start, end, node))
+        return end
+
+    walk(t, 0)
+    return out
 
 
 def base_label(label: Optional[str]) -> Optional[str]:
@@ -343,8 +362,9 @@ def parse_grammar(text: str) -> Grammar:
     return Grammar(start=start, rules=rules)
 
 
-# Resampling bound: a grammar that cannot produce an admissible sentence
-# within this many attempts is treated as non-terminating.
+# Resampling bound for grammars whose start symbol is productive but whose
+# derivations still run away or exceed ``max_len``: a grammar that cannot
+# produce an admissible sentence within this many attempts is rejected.
 _MAX_ATTEMPTS = 10000
 
 
@@ -358,6 +378,7 @@ def gen_synthetic(grammar: Union[str, Grammar], n: int, seed: int,
         grammar = parse_grammar(grammar)
     if n < 1:
         raise ValueError("need n >= 1")
+    _require_productive_start(grammar)
     rng = random.Random(seed)
     budget_cap = max(50, 20 * max_len)
     sentences = []
@@ -374,6 +395,29 @@ def gen_synthetic(grammar: Union[str, Grammar], n: int, seed: int,
                 f"after {_MAX_ATTEMPTS} attempts")
         sentences.append(tree)
     return Treebank(sentences, source=f"synthetic(seed={seed})")
+
+
+def _require_productive_start(grammar: Grammar) -> None:
+    """Reject a grammar whose start symbol derives no finite sentence.
+
+    Fixpoint over productive nonterminals: a nonterminal is productive
+    once one of its expansions holds only terminals and productive
+    nonterminals.  Draws nothing from any random stream.
+    """
+    productive: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, expansions in grammar.rules.items():
+            if lhs not in productive and any(
+                    all(sym in productive or sym not in grammar.rules
+                        for sym in rhs)
+                    for rhs, _ in expansions):
+                productive.add(lhs)
+                changed = True
+    if grammar.start not in productive:
+        raise ValueError(
+            f"start symbol {grammar.start!r} derives no finite sentence")
 
 
 def _sample(grammar: Grammar, symbol: str, rng: random.Random,

@@ -194,21 +194,6 @@ def test_corpus_eval_length_mismatch():
         metrics.corpus_eval(one, two)
 
 
-def test_corpus_eval_parallel_matches_sequential():
-    rng = np.random.default_rng(4)
-    pred, gold = [], []
-    for _ in range(60):
-        n = int(rng.integers(2, 30))
-        tokens = [f"w{i}" for i in range(n)]
-        pred.append(random_binary_tree(tokens, rng))
-        gold.append(random_binary_tree(tokens, rng))
-    p = tb.Treebank(tuple(pred))
-    g = tb.Treebank(tuple(gold))
-    seq = metrics.corpus_eval(p, g)
-    par = metrics.corpus_eval(p, g, jobs=4)
-    assert par == seq
-
-
 def test_bucket_boundaries():
     assert metrics.bucket_index(5) == 0
     assert metrics.bucket_index(10) == 0

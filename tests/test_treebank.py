@@ -288,8 +288,9 @@ def test_gen_rejects_bad_weights():
 
 def test_gen_detects_nonterminating_grammar():
     g = tb.parse_grammar("S -> S S : 1.0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         tb.gen_synthetic(g, 1, seed=0)
+    assert "'S'" in str(err.value)
 
 
 def test_grammar_comments_and_blank_lines():
