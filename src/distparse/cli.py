@@ -273,9 +273,9 @@ def cmd_convert(ns) -> None:
 
 def cmd_parse(ns) -> None:
     model = DistancePredictor.load(ns.model)
-    trees = [predictor.predict_tree(model, tokens, head=ns.head, ties=ns.ties,
+    trees = predictor.predict_trees(model, _read_sentences(ns.infile),
+                                    head=ns.head, ties=ns.ties,
                                     annotate=ns.annotate)
-             for tokens in _read_sentences(ns.infile)]
     treebank.dump_trees(treebank.Treebank(trees), ns.out)
     write_run_json(str(ns.out) + ".run.json", ns)
 

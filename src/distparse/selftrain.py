@@ -104,9 +104,8 @@ def collect_ensemble(source: EnsembleSource,
             cfg = replace(source.recipe, seed=int(seed))
             model = DistancePredictor.create(vocab, cfg)
             predictor.train(model, list(source.bootstrap), [], cfg)
-            members.append([predictor.predict_tree(model, s, head=source.head,
-                                                   ties=cfg.tie_policy)
-                            for s in sentences])
+            members.append(predictor.predict_trees(
+                model, sentences, head=source.head, ties=cfg.tie_policy))
     else:
         raise TypeError(f"unknown ensemble source: {type(source).__name__}")
 
@@ -343,9 +342,8 @@ def self_train(sentences: Sequence[Sequence[str]], source: EnsembleSource,
         silver_train = [TrainExample.from_record(r) for r in silver.records()]
         trace = predictor.train(model, gold, silver_train, pcfg)
         if round_no + 1 < config.rounds:
-            reparse = [predictor.predict_tree(model, s, head=cfg.head,
+            reparse = predictor.predict_trees(model, sentences, head=cfg.head,
                                               ties=pcfg.tie_policy)
-                       for s in sentences]
             parse_lists = [ps + [t] for ps, t in zip(parse_lists, reparse)]
             cfg = replace(cfg, n_c=cfg.n_c + 1)
 

@@ -175,6 +175,55 @@ def test_criterion_3_gradient_check():
     assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"
 
 
+def test_packed_batch_gradient_check():
+    """Criterion 3's check on one packed batch that draws one example
+    twice and holds a one-word sentence."""
+    pool = [f"t{i}" for i in range(8)]
+    config = TrainingConfig(l1=2, embed_dim=4, hidden_dim=6, alpha=0.5)
+    vocab = Vocab.build([pool])
+
+    model = batch = None
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        cand = [TrainExample.from_tree(_labeled_random_tree(
+            [pool[int(rng.integers(0, 8))] for _ in range(n)], rng))
+            for n in (5, 1, 4)]
+        m = DistancePredictor.create(vocab, config,
+                                     labels=predictor.collect_labels(cand))
+        # the one-word sentence has no gap and no ranked pair
+        one = predictor.forward(m, cand[1].tokens)
+        margin = min(_min_kink_margin(m, [cand[0], cand[2]]),
+                     np.abs(one.preact1).min(), np.abs(one.preact2).min())
+        if margin >= 1e-3:
+            model, batch = m, cand + [cand[0]]
+            break
+    assert model is not None, "no kink-free configuration found"
+
+    h = 1e-4
+    exact, _ = predictor.gradients(model, batch, config.alpha)
+    used_rows = sorted({0} | {int(i) for ex in batch
+                              for i in model.vocab.encode(ex.tokens)})
+    blocks = list(model.params.blocks())
+    rng = np.random.default_rng(99)
+    for point in range(20):
+        name, arr = blocks[point % len(blocks)]
+        if name == "embeddings":
+            row = used_rows[int(rng.integers(0, len(used_rows)))]
+            idx = row * arr.shape[1] + int(rng.integers(0, arr.shape[1]))
+        else:
+            idx = int(rng.integers(0, arr.size))
+        old = arr.flat[idx]
+        arr.flat[idx] = old + h
+        _, loss_plus = predictor.gradients(model, batch, config.alpha)
+        arr.flat[idx] = old - h
+        _, loss_minus = predictor.gradients(model, batch, config.alpha)
+        arr.flat[idx] = old
+        fd = (loss_plus - loss_minus) / (2.0 * h)
+        g = getattr(exact, name).flat[idx]
+        rel = abs(fd - g) / max(abs(fd), abs(g), 1e-3)
+        assert rel < 1e-4, f"{name}[{idx}]: fd={fd} exact={g} rel={rel}"
+
+
 # ---------------------------------------------------------------------------
 # 4. F1 oracle
 
