@@ -363,10 +363,10 @@ def cmd_analyze(ns) -> None:
             raise UsageError("analyze --report agreement needs "
                              "--ensemble-dir and --unlabeled")
         sentences = _read_sentences(ns.unlabeled)
-        parse_lists = selftrain.collect_ensemble(
+        tallies = selftrain.collect_ensemble(
             DirectoryEnsemble(ns.ensemble_dir), sentences)
         gold = treebank.load_trees(ns.gold) if ns.gold else None
-        rows = metrics.agreement_report(parse_lists, gold)
+        rows = metrics.agreement_report(tallies, gold)
         with open(ns.out, "w", newline="") as f:
             metrics.write_agreement_csv(rows, f)
     else:

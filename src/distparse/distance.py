@@ -20,6 +20,7 @@ distance supervision on disk.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -205,6 +206,8 @@ def read_records(stream: Union[str, Iterable[str]]) -> list[DistanceRecord]:
             dg = tuple(float(x) for x in obj["dg"])
         except (TypeError, ValueError):
             raise RecordFormatError("distances must be numbers", lineno)
+        if not all(map(math.isfinite, dl + dg)):
+            raise RecordFormatError("distances must be finite", lineno)
         agreement = obj.get("agreement")
         if agreement is not None and not isinstance(agreement, int):
             raise RecordFormatError("agreement must be an integer", lineno)

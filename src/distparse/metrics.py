@@ -9,10 +9,12 @@ Both are convention-sensitive, so they are exposed as flags.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .treebank import Tree, Treebank, base_label, leaves, spans, tree_depth
+from .treebank import (Tree, Treebank, base_label, leaves, parse_tree, spans,
+                       tree_depth)
 
 # Sentence-length buckets used by the analysis tables: a length L falls
 # into the first bucket with lo < L <= hi.
@@ -127,29 +129,84 @@ def corpus_eval(pred: Treebank, gold: Treebank, include_full_span: bool = True,
 # Ensemble agreement
 
 
+def bracket_key(node_spans: Iterable, n_words: int) -> bytes:
+    """Compact vote key of one parse of an ``n_words``-word sentence.
+
+    ``node_spans`` holds the parse's ``(start, end)`` pairs, as
+    ``scan_tree`` or ``brackets`` give them.  Two parses of one sentence
+    share a key exactly when ``brackets`` gives them equal sets.
+    """
+    base = n_words + 1
+    code = "H" if base * base <= 1 << 16 else "Q"
+    return array(code, sorted({s * base + e for s, e in node_spans
+                               if e - s >= 2})).tobytes()
+
+
+@dataclass(slots=True)
+class Tally:
+    """The votes of one sentence's parses, grouped by bracket key.
+
+    ``votes`` counts the parses per key in first-seen order; ``reps``
+    keeps the first parse seen with each key that can still be modal,
+    either a ``Tree`` or a tree line that ``as_tree`` reads only when it
+    is needed.
+    """
+
+    words: tuple
+    votes: dict = field(default_factory=dict)
+    reps: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return sum(self.votes.values())
+
+    def add(self, key: bytes, rep) -> None:
+        if key in self.votes:
+            self.votes[key] += 1
+        else:
+            self.votes[key] = 1
+            self.reps[key] = rep
+
+    def add_tree(self, t: Tree) -> None:
+        if tuple(leaves(t)) != self.words:
+            raise ValueError(f"parse {len(self)} covers different words")
+        self.add(bracket_key(brackets(t), len(self.words)), t)
+
+    def prune(self, spare_votes: int = 0) -> None:
+        """Drop the representatives of the groups that ``spare_votes``
+        more votes could not make modal; every key keeps its count."""
+        floor = max(self.votes.values()) - spare_votes
+        self.reps = {key: rep for key, rep in self.reps.items()
+                     if self.votes[key] >= floor}
+
+    def modal(self):
+        """(representative, votes) of the largest group; ties between
+        equal-size groups go to the group seen first."""
+        key = max(self.votes, key=self.votes.__getitem__)
+        return self.reps[key], self.votes[key]
+
+
+def as_tree(rep) -> Tree:
+    """A tally representative as a ``Tree``; tree lines are read here."""
+    return parse_tree(rep) if isinstance(rep, str) else rep
+
+
+def tally_trees(parses: Sequence[Tree]) -> Tally:
+    """One sentence's tally from a list of parse trees over one sentence."""
+    if not parses:
+        raise ValueError("need at least one parse")
+    tally = Tally(tuple(leaves(parses[0])))
+    for t in parses:
+        tally.add_tree(t)
+    return tally
+
+
 def agreement_groups(parses: Sequence[Tree]):
     """Largest group of bracket-identical parses for one sentence.
 
     Returns (representative tree, group size).  Ties between equal-size
     groups go to the group seen first.
     """
-    if not parses:
-        raise ValueError("need at least one parse")
-    words = leaves(parses[0])
-    groups: dict = {}
-    for i, t in enumerate(parses):
-        if leaves(t) != words:
-            raise ValueError(f"parse {i} covers different words")
-        key = brackets(t)
-        if key in groups:
-            groups[key][1] += 1
-        else:
-            groups[key] = [t, 1]
-    modal, n_a = None, 0
-    for rep, count in groups.values():  # insertion order settles ties
-        if count > n_a:
-            modal, n_a = rep, count
-    return modal, n_a
+    return tally_trees(parses).modal()
 
 
 @dataclass
@@ -161,7 +218,7 @@ class AgreementRow:
     avg_depth: Optional[float]
 
 
-def agreement_report(parse_lists: Sequence[Sequence[Tree]],
+def agreement_report(tallies: Sequence[Tally],
                      gold: Optional[Treebank] = None) -> list[AgreementRow]:
     """Bucket sentences by how many ensemble members agreed on the modal
     parse; report each bucket's size and average modal F1/length/depth.
@@ -169,18 +226,19 @@ def agreement_report(parse_lists: Sequence[Sequence[Tree]],
     Every member must parse every sentence; rows cover counts 1..n_c and
     their sizes sum to the number of sentences.
     """
-    if not parse_lists:
+    if not tallies:
         raise ValueError("no sentences")
-    n_c = len(parse_lists[0])
-    if any(len(ps) != n_c for ps in parse_lists):
+    n_c = len(tallies[0])
+    if any(len(tally) != n_c for tally in tallies):
         raise ValueError("ensemble size varies across sentences")
-    if gold is not None and len(gold) != len(parse_lists):
+    if gold is not None and len(gold) != len(tallies):
         raise ValueError("gold treebank does not align with the sentences")
     per_bucket: dict = {k: [] for k in range(1, n_c + 1)}
-    for i, parses in enumerate(parse_lists):
-        modal, n_a = agreement_groups(parses)
+    for i, tally in enumerate(tallies):
+        rep, n_a = tally.modal()
+        modal = as_tree(rep)
         f1 = (sentence_f1(modal, gold.sentences[i]) if gold is not None else None)
-        per_bucket[n_a].append((f1, len(leaves(modal)), tree_depth(modal)))
+        per_bucket[n_a].append((f1, len(tally.words), tree_depth(modal)))
     rows = []
     for k in range(1, n_c + 1):
         entries = per_bucket[k]

@@ -84,8 +84,17 @@ class TrainingConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError("mix_ratio must lie in [0, 1]")
+        if self.tie_policy not in ("left", "right"):
+            raise ValueError(f"tie_policy must be 'left' or 'right', not "
+                             f"{self.tie_policy!r}")
         if self.l2 is None:
             self.l2 = self.l1
+        for name in ("l1", "l2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
+        for name in ("embed_dim", "hidden_dim", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def load_config(path) -> dict:

@@ -16,6 +16,7 @@ import csv
 import logging
 import math
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -23,7 +24,8 @@ from typing import Optional, Sequence, Union
 from . import distance, metrics, predictor, treebank
 from .distance import DistanceRecord
 from .predictor import DistancePredictor, TrainExample, TrainingConfig, Vocab
-from .treebank import Tree
+from .metrics import Tally
+from .treebank import Tree, TreeParseError
 
 log = logging.getLogger(__name__)
 
@@ -76,49 +78,80 @@ def _member_files(path) -> list[Path]:
 
 
 def collect_ensemble(source: EnsembleSource,
-                     sentences: Sequence[Sequence[str]]) -> list[list[Tree]]:
-    """One list of member parses per sentence, members in a fixed order.
+                     sentences: Sequence[Sequence[str]],
+                     spare_votes: int = 0) -> list[Tally]:
+    """One tally of the members' parses per sentence.
 
     Every member must produce exactly one binary tree per sentence, over
-    exactly the sentence's words.
+    exactly the sentence's words.  Member files are read in lockstep, one
+    line of each per sentence, and each line is dropped once it is
+    tallied.  ``spare_votes`` is how many more votes a sentence may get
+    later; parses that many votes could not make modal are not kept.
     """
     if not sentences:
         raise EnsembleError("no sentences to parse")
     if isinstance(source, DirectoryEnsemble):
-        members = []
-        for path in _member_files(source.path):
-            with open(path) as f:
-                trees = treebank.read_trees(f, source=str(path))
-            if len(trees) != len(sentences):
-                raise EnsembleError(
-                    f"{path}: {len(trees)} parses for {len(sentences)} "
-                    f"sentences")
-            members.append(trees.sentences)
-    elif isinstance(source, InternalEnsemble):
+        return _scan_members(_member_files(source.path), sentences,
+                             spare_votes)
+    if isinstance(source, InternalEnsemble):
         if not source.bootstrap:
             raise EnsembleError("internal ensemble needs bootstrap examples")
         vocab = Vocab.build([ex.tokens for ex in source.bootstrap]
                             + [tuple(s) for s in sentences])
-        members = []
+        tallies = [Tally(tuple(s)) for s in sentences]
         for seed in source.seeds:
             cfg = replace(source.recipe, seed=int(seed))
             model = DistancePredictor.create(vocab, cfg)
             predictor.train(model, list(source.bootstrap), [], cfg)
-            members.append(predictor.predict_trees(
-                model, sentences, head=source.head, ties=cfg.tie_policy))
-    else:
-        raise TypeError(f"unknown ensemble source: {type(source).__name__}")
+            parses = predictor.predict_trees(
+                model, sentences, head=source.head, ties=cfg.tie_policy)
+            for tally, t in zip(tallies, parses):
+                tally.add_tree(t)
+        for tally in tallies:
+            tally.prune(spare_votes)
+        return tallies
+    raise TypeError(f"unknown ensemble source: {type(source).__name__}")
 
-    for k, parses in enumerate(members):
-        for i, t in enumerate(parses):
-            if treebank.leaves(t) != list(sentences[i]):
+
+def _nonblank_lines(stream):
+    for lineno, line in enumerate(stream, start=1):
+        if line.strip():
+            yield lineno, line
+
+
+def _scan_members(paths: Sequence[Path], sentences: Sequence[Sequence[str]],
+                  spare_votes: int) -> list[Tally]:
+    n = len(sentences)
+    with ExitStack() as stack:
+        members = [_nonblank_lines(stack.enter_context(open(path)))
+                   for path in paths]
+        tallies = []
+        for i, sentence in enumerate(sentences):
+            expected = list(sentence)
+            tally = Tally(tuple(sentence))
+            for k, lines in enumerate(members):
+                lineno, line = next(lines, (None, None))
+                if line is None:
+                    if i == 0:
+                        raise TreeParseError("no trees in input")
+                    raise EnsembleError(
+                        f"{paths[k]}: {i} parses for {n} sentences")
+                words, node_spans, binary = treebank.scan_tree(line, lineno)
+                if words != expected:
+                    raise EnsembleError(f"member {k}, sentence {i}: parse "
+                                        f"covers different words")
+                if not binary:
+                    raise EnsembleError(
+                        f"member {k}, sentence {i}: parse is not binary")
+                tally.add(metrics.bracket_key(node_spans, len(words)), line)
+            tally.prune(spare_votes)
+            tallies.append(tally)
+        for path, lines in zip(paths, members):
+            extra = sum(1 for _ in lines)
+            if extra:
                 raise EnsembleError(
-                    f"member {k}, sentence {i}: parse covers different words")
-            if not treebank.is_binary(t):
-                raise EnsembleError(
-                    f"member {k}, sentence {i}: parse is not binary")
-    return [[members[k][i] for k in range(len(members))]
-            for i in range(len(sentences))]
+                    f"{path}: {n + extra} parses for {n} sentences")
+    return tallies
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +219,9 @@ class SilverSet:
         return [ex.record for ex in self.examples]
 
 
-def build_silver(parse_lists: Sequence[Sequence[Tree]],
+def build_silver(tallies: Sequence[Tally],
                  config: SelfTrainConfig, source: str = "") -> SilverSet:
-    """Filter per-sentence ensemble parses down to the confident ones.
+    """Filter per-sentence ensemble votes down to the confident ones.
 
     A sentence is admitted when the modal bracketing is shared by at
     least the admission threshold of members; one-word sentences never
@@ -197,17 +230,16 @@ def build_silver(parse_lists: Sequence[Sequence[Tree]],
     """
     threshold = admission_threshold(config.mu, config.n_c, config.strict)
     examples = []
-    for i, parses in enumerate(parse_lists):
-        if len(parses) != config.n_c:
+    for i, tally in enumerate(tallies):
+        if len(tally) != config.n_c:
             raise EnsembleError(
-                f"sentence {i}: {len(parses)} parses for an ensemble of "
+                f"sentence {i}: {len(tally)} parses for an ensemble of "
                 f"{config.n_c}")
-        modal, n_a = metrics.agreement_groups(parses)
-        if n_a < threshold:
+        rep, n_a = tally.modal()
+        tokens = tally.words
+        if n_a < threshold or len(tokens) < 2:
             continue
-        tokens = tuple(treebank.leaves(modal))
-        if len(tokens) < 2:
-            continue
+        modal = metrics.as_tree(rep)
         rec = distance.record_from_tree(modal, config.max_depth, agreement=n_a)
         examples.append(SilverExample(i, tokens, modal, rec, n_a))
     return SilverSet(examples, config.n_c, config.mu, source)
@@ -323,11 +355,13 @@ def self_train(sentences: Sequence[Sequence[str]], source: EnsembleSource,
     if gold_parses is not None and len(gold_parses) != len(sentences):
         raise ValueError("gold_parses does not align with the sentence list")
 
-    parse_lists = collect_ensemble(source, sentences)
+    # each extra round adds one re-parse to every sentence's votes
+    tallies = collect_ensemble(source, sentences,
+                               spare_votes=config.rounds - 1)
     cfg = config
     model = None
     for round_no in range(config.rounds):
-        silver = build_silver(parse_lists, cfg, source=source.describe())
+        silver = build_silver(tallies, cfg, source=source.describe())
         if not silver.examples and not gold:
             raise EnsembleError(
                 f"nothing to train on: no sentence reached agreement "
@@ -344,11 +378,12 @@ def self_train(sentences: Sequence[Sequence[str]], source: EnsembleSource,
         if round_no + 1 < config.rounds:
             reparse = predictor.predict_trees(model, sentences, head=cfg.head,
                                               ties=pcfg.tie_policy)
-            parse_lists = [ps + [t] for ps, t in zip(parse_lists, reparse)]
+            for tally, t in zip(tallies, reparse):
+                tally.add_tree(t)
             cfg = replace(cfg, n_c=cfg.n_c + 1)
 
     gold_bank = (treebank.Treebank(list(gold_parses))
                  if gold_parses is not None else None)
-    rows = metrics.agreement_report(parse_lists, gold_bank)
+    rows = metrics.agreement_report(tallies, gold_bank)
     stats = silver_statistics(silver, gold_parses)
     return SelfTrainResult(model, silver, trace, rows, stats)

@@ -190,6 +190,67 @@ def parse_tree(line: str, lineno: Optional[int] = None,
     return tree
 
 
+def scan_tree(line: str, lineno: Optional[int] = None):
+    """What ``parse_tree`` would give for a labeled line, with no nodes built.
+
+    Returns ``(words, node_spans, binary)``: the leaf tokens,
+    ``(start, end)`` of every internal node in the order ``spans`` lists
+    them, and whether every internal node has exactly two children.  A
+    malformed line raises the ``TreeParseError`` ``parse_tree`` raises.
+    """
+    # the tokens of _TOKEN_PAT: str.split and the pattern's \s agree on
+    # what is whitespace, and splitting is several times faster
+    toks = line.replace("(", " ( ").replace(")", " ) ").split()
+    found = _scan_tokens(toks)
+    if found is None:
+        parse_tree(line, lineno)  # raises the error it finds
+        raise AssertionError(f"scan_tree rejected a line parse_tree "
+                             f"accepts: {line!r}")
+    return found
+
+
+def _scan_tokens(toks: list):
+    """``scan_tree``'s result from a line's tokens; None if malformed."""
+    if len(toks) == 1 and toks[0] != "(":
+        return toks, [], True  # a bare token reads as one leaf
+    words: list = []
+    out: list = []
+    binary = True
+    # the innermost open node: its first word, children so far and
+    # whether its first child is a word; ``stack`` holds the enclosing
+    # ones, and below them the top level, which must end with one child
+    start = count = 0
+    bare = False
+    stack: list = []
+    rest = iter(toks)
+    try:
+        for tok in rest:
+            if tok == ")":
+                if count != 1 or not bare:  # a (TAG word) group is its word
+                    if not count:
+                        return None  # empty node
+                    out.append((start, len(words)))
+                    if count != 2:
+                        binary = False
+                start, count, bare = stack.pop()
+            elif tok == "(":
+                label = next(rest, ")")
+                if label == "(" or label == ")":
+                    return None  # no label
+                stack.append((start, count + 1, bare))
+                start, count, bare = len(words), 0, False
+            else:
+                if not count:
+                    bare = True
+                count += 1
+                words.append(tok)
+    except IndexError:  # ")" at the top level
+        return None
+    if stack or count != 1:
+        return None
+    return words, out, binary
+
+
 def read_trees(stream: Union[str, Iterable[str]], source: str = "",
                labeled: bool = True) -> Treebank:
     """Read a treebank, one S-expression per non-empty line."""

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from distparse import metrics
 from distparse import treebank as tb
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -57,6 +58,11 @@ def simulated_ensemble(gold_trees, n_members, rate, seed):
         members.append([rotate_subtrees(t, rng, rate) for t in gold_trees])
     return [[members[k][i] for k in range(n_members)]
             for i in range(len(gold_trees))]
+
+
+def tallies(parse_lists):
+    """One tally per sentence from per-sentence lists of parse trees."""
+    return [metrics.tally_trees(parses) for parses in parse_lists]
 
 
 @pytest.fixture(scope="session")

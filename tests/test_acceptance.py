@@ -26,7 +26,7 @@ from distparse.predictor import (DistancePredictor, TrainExample,
                                  TrainingConfig, Vocab)
 from distparse.selftrain import SelfTrainConfig
 
-from conftest import random_binary_tree, simulated_ensemble
+from conftest import random_binary_tree, simulated_ensemble, tallies
 
 
 def criterion(num, title):
@@ -433,7 +433,7 @@ def test_criterion_8_threshold(toy_grammar):
     config = SelfTrainConfig(n_c=15, mu=0.6)
     for n_a, admitted in ((8, False), (9, True), (10, True)):
         parses = [consensus] * n_a + fillers[:15 - n_a]
-        silver = selftrain.build_silver([parses], config)
+        silver = selftrain.build_silver(tallies([parses]), config)
         assert bool(len(silver)) is admitted, f"n_a={n_a}"
         if admitted:
             assert silver.examples[0].agreement == n_a

@@ -118,6 +118,32 @@ def test_convert_round_trip_restores_trees(workspace, tmp_path, capsys):
     assert "macro_f1=100.0000" in out
 
 
+NAN_RECORD = '{"tokens": ["a", "b", "c"], "dl": [1, NaN, 2], "dg": [NaN, 1]}\n'
+
+
+@pytest.mark.parametrize("mode", ["dl2tree", "dg2tree"])
+def test_convert_non_finite_record_is_data_error(tmp_path, capsys, mode):
+    recs = tmp_path / "nan.jsonl"
+    recs.write_text(NAN_RECORD)
+    rc = main(["convert", "--mode", mode, "--in", str(recs),
+               "--out", str(tmp_path / "o.trees")])
+    assert rc == 2
+    assert "line 1: distances must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.trees").exists()
+
+
+def test_train_non_finite_silver_is_data_error(workspace, tmp_path, capsys):
+    recs = tmp_path / "silver.jsonl"
+    recs.write_text('{"tokens": ["a", "b"], "dl": [1, 2], "dg": [1]}\n'
+                    + NAN_RECORD.replace("NaN", "Infinity"))
+    rc = main(["train", "--gold", str(workspace / "gold.trees"),
+               "--silver", str(recs), "--out", str(tmp_path / "m.npz"),
+               "--epochs", "1", "--hidden", "8", "--embed", "4",
+               "--l1", "1"])
+    assert rc == 2
+    assert "line 2: distances must be finite" in capsys.readouterr().err
+
+
 def test_convert_writes_run_json_sidecar(workspace, tmp_path):
     out = tmp_path / "r.jsonl"
     assert main(["convert", "--mode", "tree2dl",
@@ -229,6 +255,23 @@ def test_train_config_file_layering(workspace, tmp_path):
     assert opts["alpha"] == 0.5    # untouched default
 
 
+@pytest.mark.parametrize("line, message", [
+    ("tie_policy = middle", "tie_policy must be 'left' or 'right'"),
+    ("l1 = -2", "l1 must be at least 0"),
+    ("batch_size = 0", "batch_size must be at least 1"),
+])
+def test_train_config_file_bad_value_is_data_error(workspace, tmp_path,
+                                                  capsys, line, message):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "m.npz"
+    rc = main(["train", "--gold", str(workspace / "gold.trees"),
+               "--out", str(out), "--config", str(cfg), "--epochs", "1"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_determinism_across_runs(workspace, tmp_path):
     outs = []
     for name in ("a.npz", "b.npz"):
@@ -324,6 +367,40 @@ def test_analyze_agreement_report(workspace, ensemble_dir, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n_agree,count,avg_f1,avg_len,avg_depth"
     assert len(lines) == 6  # 5 members
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("short", "member_2.trees: 29 parses for 30 sentences"),
+    ("long", "member_2.trees: 31 parses for 30 sentences"),
+    ("empty", "error: no trees in input"),
+    # the fifth tree, after a blank line, is on physical line 6
+    ("malformed", "error: line 6: unbalanced parentheses"),
+])
+def test_analyze_faulty_member_is_data_error(workspace, ensemble_dir,
+                                             tmp_path, capsys, fault,
+                                             message):
+    ens = tmp_path / "ens"
+    ens.mkdir()
+    for k in range(5):
+        text = (ensemble_dir / f"member_{k}.trees").read_text()
+        lines = text.splitlines(keepends=True)
+        if k == 2:
+            if fault == "short":
+                lines = lines[:-1]
+            elif fault == "long":
+                lines.append(lines[0])
+            elif fault == "empty":
+                lines = []
+            else:
+                lines[4] = lines[4].rstrip()[:-1] + "\n"
+                lines.insert(1, "\n")
+        (ens / f"member_{k}.trees").write_text("".join(lines))
+    rc = main(["analyze", "--report", "agreement",
+               "--ensemble-dir", str(ens),
+               "--unlabeled", str(workspace / "sents.txt"),
+               "--out", str(tmp_path / "agreement.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_analyze_buckets_report(workspace, tmp_path):

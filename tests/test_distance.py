@@ -231,6 +231,15 @@ def test_record_malformed_json_reports_line():
         dist.read_records(text)
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_record_non_finite_distance_rejected(bad):
+    text = ('{"tokens": ["a", "b"], "dl": [1, 2], "dg": [1]}\n'
+            f'{{"tokens": ["a", "b", "c"], "dl": [1, 2, 3], "dg": [{bad}, 1]}}\n')
+    with pytest.raises(dist.RecordFormatError,
+                       match="line 2: distances must be finite"):
+        dist.read_records(text)
+
+
 def test_record_length_invariant_enforced():
     with pytest.raises(ValueError):
         dist.DistanceRecord(("a", "b"), (1.0,), (1.0,))

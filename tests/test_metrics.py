@@ -8,7 +8,7 @@ import pytest
 from distparse import metrics
 from distparse import treebank as tb
 
-from conftest import random_binary_tree, simulated_ensemble
+from conftest import random_binary_tree, simulated_ensemble, tallies
 
 
 def t_balanced():
@@ -260,7 +260,8 @@ def test_agreement_token_mismatch():
 def test_agreement_report_perfect_ensemble():
     gold = [tb.binarize(t) for t in tb.load_trees("data/sample.trees")]
     parse_lists = [[t] * 7 for t in gold]
-    rows = metrics.agreement_report(parse_lists, tb.Treebank(tuple(gold)))
+    rows = metrics.agreement_report(tallies(parse_lists),
+                                    tb.Treebank(tuple(gold)))
     assert len(rows) == 7
     top = rows[-1]
     assert (top.n_agree, top.count, top.avg_f1) == (7, len(gold), 100.0)
@@ -270,7 +271,8 @@ def test_agreement_report_perfect_ensemble():
 def test_agreement_report_counts_partition_corpus(toy_grammar):
     gold = [tb.binarize(t) for t in tb.gen_synthetic(toy_grammar, 120, seed=6)]
     parse_lists = simulated_ensemble(gold, 9, rate=0.25, seed=3)
-    rows = metrics.agreement_report(parse_lists, tb.Treebank(tuple(gold)))
+    rows = metrics.agreement_report(tallies(parse_lists),
+                                    tb.Treebank(tuple(gold)))
     assert sum(r.count for r in rows) == len(gold)
     assert [r.n_agree for r in rows] == list(range(1, 10))
 
@@ -280,7 +282,8 @@ def test_agreement_report_f1_rises_with_agreement(toy_grammar):
     # at least as well as the no-consensus bucket
     gold = [tb.binarize(t) for t in tb.gen_synthetic(toy_grammar, 500, seed=7)]
     parse_lists = simulated_ensemble(gold, 15, rate=0.3, seed=9)
-    rows = metrics.agreement_report(parse_lists, tb.Treebank(tuple(gold)))
+    rows = metrics.agreement_report(tallies(parse_lists),
+                                    tb.Treebank(tuple(gold)))
     low = [r for r in rows if r.count and r.n_agree == 1]
     high = [r for r in rows if r.count and r.n_agree >= 12]
     assert low and high
@@ -292,7 +295,7 @@ def test_agreement_report_f1_rises_with_agreement(toy_grammar):
 
 def test_agreement_csv_shape():
     gold = [tb.binarize(t) for t in tb.load_trees("data/sample.trees")]
-    rows = metrics.agreement_report([[t, t] for t in gold],
+    rows = metrics.agreement_report(tallies([[t, t] for t in gold]),
                                     tb.Treebank(tuple(gold)))
     out = io.StringIO()
     metrics.write_agreement_csv(rows, out)

@@ -70,6 +70,25 @@ def test_config_validation():
     assert pr.TrainingConfig(l1=3, l2=1).l2 == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tie_policy", "middle", "tie_policy must be 'left' or 'right'"),
+    ("l1", -2, "l1 must be at least 0"),
+    ("l2", -1, "l2 must be at least 0"),
+    ("embed_dim", 0, "embed_dim must be at least 1"),
+    ("hidden_dim", -3, "hidden_dim must be at least 1"),
+    ("epochs", 0, "epochs must be at least 1"),
+    ("batch_size", 0, "batch_size must be at least 1"),
+])
+def test_config_rejects_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        pr.TrainingConfig(**{field: value})
+
+
+def test_config_accepts_zero_context():
+    cfg = pr.TrainingConfig(l1=0, l2=0, tie_policy="right")
+    assert (cfg.l1, cfg.l2, cfg.tie_policy) == (0, 0, "right")
+
+
 def test_load_config_file(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text("# comment\n"

@@ -12,7 +12,7 @@ from distparse import predictor as pr
 from distparse import selftrain as st
 from distparse import treebank as tb
 
-from conftest import random_binary_tree, simulated_ensemble
+from conftest import random_binary_tree, simulated_ensemble, tallies
 
 
 TINY = pr.TrainingConfig(l1=1, embed_dim=8, hidden_dim=12, lr=0.2,
@@ -48,7 +48,7 @@ def test_threshold_fixtures_around_nine():
             if metrics.brackets(t) not in seen:
                 seen.add(metrics.brackets(t))
                 others.append(t)
-        silver = st.build_silver([[agree] * n_a + others], cfg)
+        silver = st.build_silver(tallies([[agree] * n_a + others]), cfg)
         assert (len(silver) == 1) == admitted, n_a
 
 
@@ -118,6 +118,21 @@ def test_collect_directory_misaligned_member(tmp_path):
         st.collect_ensemble(st.DirectoryEnsemble(tmp_path), sentences)
 
 
+def test_collect_directory_skips_blank_lines(tmp_path):
+    sentences = make_sentences(4, seed=4)
+    rng = np.random.default_rng(5)
+    rows = [[random_binary_tree(s, rng) for _ in range(2)]
+            for s in sentences]
+    write_members(tmp_path, rows)
+    want = st.collect_ensemble(st.DirectoryEnsemble(tmp_path), sentences)
+    lines = (tmp_path / "member_0.trees").read_text().splitlines()
+    (tmp_path / "member_0.trees").write_text(
+        "\n  \n".join(lines[:2]) + "\n\n" + "\n".join(lines[2:]) + "\n\n")
+    got = st.collect_ensemble(st.DirectoryEnsemble(tmp_path), sentences)
+    assert got == want
+    assert [len(t) for t in got] == [2] * 4
+
+
 def test_collect_directory_token_mismatch(tmp_path):
     sentences = make_sentences(4, seed=2)
     rng = np.random.default_rng(3)
@@ -150,10 +165,13 @@ def test_collect_internal_deterministic():
                                  bootstrap=tuple(boot))
     first = st.collect_ensemble(source, sentences)
     second = st.collect_ensemble(source, sentences)
-    assert first == second
+    assert [list(t.votes.items()) for t in first] == \
+           [list(t.votes.items()) for t in second]
+    assert [list(t.reps.values()) for t in first] == \
+           [list(t.reps.values()) for t in second]
     assert all(len(row) == 2 for row in first)
     # distinct seeds should not all collapse to one parser
-    assert any(row[0] != row[1] for row in first)
+    assert any(len(row.votes) == 2 for row in first)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +188,7 @@ def test_build_silver_all_disagree_is_empty():
             seen.add(metrics.brackets(t))
             parses.append(t)
     cfg = st.SelfTrainConfig(n_c=5, mu=0.6)
-    silver = st.build_silver([parses], cfg)
+    silver = st.build_silver(tallies([parses]), cfg)
     assert len(silver) == 0
 
 
@@ -183,7 +201,7 @@ def test_build_silver_gold_echo_majority_scores_100():
         noise = [random_binary_tree(tb.leaves(t), rng) for _ in range(5)]
         parse_lists.append([t] * 10 + noise)
     cfg = st.SelfTrainConfig(n_c=15, mu=0.6)
-    silver = st.build_silver(parse_lists, cfg)
+    silver = st.build_silver(tallies(parse_lists), cfg)
     assert len(silver) == 20  # 10 echoes always clear the threshold of 9
     for ex in silver:
         assert metrics.sentence_f1(ex.tree, gold[ex.index]) == 100.0
@@ -196,7 +214,7 @@ def test_build_silver_skips_single_word_sentences():
     cfg = st.SelfTrainConfig(n_c=3, mu=0.5)
     lists = [[tb.Leaf("a")] * 3,
              [tb.Node(None, (tb.Leaf("b"), tb.Leaf("c")))] * 3]
-    silver = st.build_silver(lists, cfg)
+    silver = st.build_silver(tallies(lists), cfg)
     assert [ex.index for ex in silver] == [1]
 
 
@@ -205,7 +223,7 @@ def test_build_silver_records_encode_consensus_tree():
     rng = np.random.default_rng(11)
     gold = [random_binary_tree(s, rng) for s in sentences]
     cfg = st.SelfTrainConfig(n_c=4, mu=0.75)
-    silver = st.build_silver([[t] * 4 for t in gold], cfg)
+    silver = st.build_silver(tallies([[t] * 4 for t in gold]), cfg)
     assert len(silver) == 12
     for ex in silver:
         assert list(ex.record.dl) == dist.tree_to_latent(ex.tree)
@@ -220,7 +238,7 @@ def test_build_silver_monotone_in_mu(toy_grammar):
     admitted_prev = None
     for mu in (0.2, 0.4, 0.6, 0.8, 1.0):
         cfg = st.SelfTrainConfig(n_c=9, mu=mu)
-        got = {ex.index for ex in st.build_silver(parse_lists, cfg)}
+        got = {ex.index for ex in st.build_silver(tallies(parse_lists), cfg)}
         if admitted_prev is not None:
             assert got <= admitted_prev  # raising mu never adds sentences
         admitted_prev = got
@@ -230,7 +248,7 @@ def test_build_silver_wrong_member_count():
     cfg = st.SelfTrainConfig(n_c=4, mu=0.5)
     pair = tb.Node(None, (tb.Leaf("a"), tb.Leaf("b")))
     with pytest.raises(st.EnsembleError, match="sentence 0"):
-        st.build_silver([[pair] * 3], cfg)
+        st.build_silver(tallies([[pair] * 3]), cfg)
 
 
 def test_silver_stats_empty_set():
@@ -241,7 +259,7 @@ def test_silver_stats_empty_set():
 def test_silver_stats_csv_shape():
     pair = tb.Node(None, (tb.Leaf("a"), tb.Leaf("b")))
     cfg = st.SelfTrainConfig(n_c=2, mu=0.5)
-    silver = st.build_silver([[pair, pair]], cfg)
+    silver = st.build_silver(tallies([[pair, pair]]), cfg)
     out = io.StringIO()
     st.write_silver_stats_csv(st.silver_statistics(silver, [pair]), out)
     lines = out.getvalue().strip().splitlines()
