@@ -80,6 +80,8 @@ class TrainingConfig:
     tie_policy: str = "left"
 
     def __post_init__(self):
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, not {self.lr!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.mix_ratio <= 1.0:
@@ -183,6 +185,10 @@ class TrainExample:
 
 MODEL_FORMAT_VERSION = 1
 
+# Largest model ``DistancePredictor.create`` builds: 400 MB of float64,
+# and training holds a gradient of the same size.
+MAX_PARAMETERS = 50_000_000
+
 
 @dataclass
 class DistancePredictor:
@@ -199,9 +205,15 @@ class DistancePredictor:
     @classmethod
     def create(cls, vocab: Vocab, config: TrainingConfig,
                labels: Optional[Sequence[str]] = None) -> "DistancePredictor":
-        rng = np.random.default_rng(config.seed)
         de, nh = config.embed_dim, config.hidden_dim
         l1, l2 = config.l1, config.l2
+        n_labels = 0 if labels is None else len(set(labels) | {UNK_LABEL})
+        size = (len(vocab) * de + nh * ((l1 + 1) * de + 1) + (l2 + 1) * nh + 1
+                + nh + 1 + n_labels * (nh + 1))
+        if size > MAX_PARAMETERS:
+            raise ValueError(f"model would have {size:,} parameters, more "
+                             f"than the limit of {MAX_PARAMETERS:,}")
+        rng = np.random.default_rng(config.seed)
 
         def uniform(shape, fan_in):
             limit = 1.0 / math.sqrt(fan_in)

@@ -8,13 +8,14 @@ Files hold one S-expression per line, e.g.::
     (S (NP (DT the) (NN cat)) (VP (VBD sat)))
 
 Part-of-speech preterminals are dropped at read time: the innermost
-``(TAG token)`` pairs become bare leaves.
+``(TAG token)`` pairs become bare leaves.  One iterative reader,
+``_read_line``, reads every line of every tree file: ``parse_tree``
+builds nodes from its spans and ``scan_tree`` returns the spans alone.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -62,12 +63,6 @@ class Treebank:
         return iter(self.sentences)
 
 
-@dataclass(frozen=True)
-class TreeStats:
-    length: int
-    depth: int
-
-
 def leaves(t: Tree) -> list[str]:
     """Leaf tokens in left-to-right order."""
     if isinstance(t, Leaf):
@@ -95,10 +90,6 @@ def is_binary(t: Tree) -> bool:
     if isinstance(t, Leaf):
         return True
     return len(t.children) == 2 and all(is_binary(c) for c in t.children)
-
-
-def tree_stats(t: Tree) -> TreeStats:
-    return TreeStats(length=leaf_count(t), depth=tree_depth(t))
 
 
 def spans(t: Tree) -> list:
@@ -135,124 +126,101 @@ def base_label(label: Optional[str]) -> Optional[str]:
 # Bracketed-text reading and writing
 
 
-_TOKEN_PAT = re.compile(r"\(|\)|[^()\s]+")
+def parse_tree(line: str, lineno: Optional[int] = None) -> Tree:
+    """Parse one S-expression tree in labeled notation.
 
-
-def parse_tree(line: str, lineno: Optional[int] = None,
-               labeled: bool = True) -> Tree:
-    """Parse one S-expression tree.
-
-    Two notations exist and they are genuinely ambiguous, so the caller
-    must pick.  In labeled notation the first atom inside a group is the
-    node's label and a (TAG token) preterminal collapses to a bare leaf.
-    With ``labeled=False`` every atom is a word: ``(a (b c))`` is the
-    two-word subtree reading, nodes carry no labels, and one-child
-    groups collapse to their child.
+    The first atom inside a group is the node's label, and a
+    ``(TAG token)`` preterminal collapses to a bare leaf.  Nodes are
+    built from ``_read_line``'s spans with no recursion, so depth is
+    bounded only by memory.
     """
-    toks = _TOKEN_PAT.findall(line)
-    if not toks:
-        raise TreeParseError("empty input", lineno)
-    pos = 0
-
-    def parse_expr() -> Tree:
-        nonlocal pos
-        if toks[pos] != "(":
-            tok = toks[pos]
-            pos += 1
-            return Leaf(tok)
-        pos += 1  # consume "("
-        if pos >= len(toks):
-            raise TreeParseError("unbalanced parentheses", lineno)
-        label = None
-        if labeled:
-            if toks[pos] in ("(", ")"):
-                raise TreeParseError("node without a label", lineno)
-            label = toks[pos]
-            pos += 1
-        children: list[Tree] = []
-        bare: list[bool] = []
-        while pos < len(toks) and toks[pos] != ")":
-            bare.append(toks[pos] != "(")
-            children.append(parse_expr())
-        if pos >= len(toks):
-            raise TreeParseError("unbalanced parentheses", lineno)
-        pos += 1  # consume ")"
-        if not children:
-            raise TreeParseError("empty node", lineno)
-        if len(children) == 1 and (not labeled or bare[0]):
-            # (TAG token) preterminal, or a redundant unlabeled wrap
-            return children[0]
-        return Node(label, tuple(children))
-
-    tree = parse_expr()
-    if pos != len(toks):
-        raise TreeParseError("unbalanced parentheses", lineno)
-    return tree
+    words, node_spans, labels, _ = _read_line(line, lineno)
+    sub: list = [Leaf(w) for w in words]  # the subtree starting at each word
+    after = list(range(1, len(words) + 1))  # the word just after that subtree
+    for (start, end), label in zip(node_spans, labels):
+        children = []
+        i = start
+        while i < end:
+            children.append(sub[i])
+            i = after[i]
+        sub[start] = Node(label, tuple(children))
+        after[start] = end
+    return sub[0]
 
 
 def scan_tree(line: str, lineno: Optional[int] = None):
-    """What ``parse_tree`` would give for a labeled line, with no nodes built.
+    """What ``parse_tree`` would give for a line, with no nodes built.
 
     Returns ``(words, node_spans, binary)``: the leaf tokens,
     ``(start, end)`` of every internal node in the order ``spans`` lists
     them, and whether every internal node has exactly two children.  A
-    malformed line raises the ``TreeParseError`` ``parse_tree`` raises.
+    malformed line raises ``TreeParseError``.
     """
-    # the tokens of _TOKEN_PAT: str.split and the pattern's \s agree on
-    # what is whitespace, and splitting is several times faster
+    words, node_spans, _, binary = _read_line(line, lineno)
+    return words, node_spans, binary
+
+
+def _read_line(line: str, lineno: Optional[int] = None):
+    """The one reader of a bracketed line, an iterative state machine.
+
+    Returns ``(words, node_spans, labels, binary)``: ``scan_tree``'s
+    result plus the label of each node in ``node_spans``.  A malformed
+    line raises ``TreeParseError``, reporting the first fault from the
+    left.
+    """
     toks = line.replace("(", " ( ").replace(")", " ) ").split()
-    found = _scan_tokens(toks)
-    if found is None:
-        parse_tree(line, lineno)  # raises the error it finds
-        raise AssertionError(f"scan_tree rejected a line parse_tree "
-                             f"accepts: {line!r}")
-    return found
-
-
-def _scan_tokens(toks: list):
-    """``scan_tree``'s result from a line's tokens; None if malformed."""
-    if len(toks) == 1 and toks[0] != "(":
-        return toks, [], True  # a bare token reads as one leaf
+    if not toks:
+        raise TreeParseError("empty input", lineno)
+    if toks[0] != "(":
+        if len(toks) != 1:
+            raise TreeParseError("unbalanced parentheses", lineno)
+        return toks, [], [], True  # a bare token reads as one leaf
     words: list = []
     out: list = []
+    labels: list = []
     binary = True
-    # the innermost open node: its first word, children so far and
-    # whether its first child is a word; ``stack`` holds the enclosing
-    # ones, and below them the top level, which must end with one child
+    # the innermost open group: its first word, children so far, whether
+    # its first child is a word, and its label; ``stack`` holds the
+    # enclosing ones, and at its bottom the top level
     start = count = 0
     bare = False
+    label = None
     stack: list = []
     rest = iter(toks)
-    try:
-        for tok in rest:
-            if tok == ")":
-                if count != 1 or not bare:  # a (TAG word) group is its word
-                    if not count:
-                        return None  # empty node
-                    out.append((start, len(words)))
-                    if count != 2:
-                        binary = False
-                start, count, bare = stack.pop()
-            elif tok == "(":
-                label = next(rest, ")")
-                if label == "(" or label == ")":
-                    return None  # no label
-                stack.append((start, count + 1, bare))
-                start, count, bare = len(words), 0, False
-            else:
+    for tok in rest:
+        if tok == ")":
+            if count != 1 or not bare:  # a (TAG word) group is its word
                 if not count:
-                    bare = True
-                count += 1
-                words.append(tok)
-    except IndexError:  # ")" at the top level
-        return None
-    if stack or count != 1:
-        return None
-    return words, out, binary
+                    raise TreeParseError("empty node", lineno)
+                out.append((start, len(words)))
+                labels.append(label)
+                if count != 2:
+                    binary = False
+            start, count, bare, label = stack.pop()
+            if not stack:
+                break  # the root is closed
+        elif tok == "(":
+            stack.append((start, count + 1, bare, label))
+            label = next(rest, None)
+            if label is None:
+                raise TreeParseError("unbalanced parentheses", lineno)
+            if label == "(" or label == ")":
+                raise TreeParseError("node without a label", lineno)
+            start, count, bare = len(words), 0, False
+        else:
+            if not count:
+                bare = True
+            count += 1
+            words.append(tok)
+    else:
+        raise TreeParseError("unbalanced parentheses", lineno)  # left open
+    if next(rest, None) is not None:
+        raise TreeParseError("unbalanced parentheses", lineno)
+    return words, out, labels, binary
 
 
-def read_trees(stream: Union[str, Iterable[str]], source: str = "",
-               labeled: bool = True) -> Treebank:
+def read_trees(stream: Union[str, Iterable[str]],
+               source: str = "") -> Treebank:
     """Read a treebank, one S-expression per non-empty line."""
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -260,15 +228,15 @@ def read_trees(stream: Union[str, Iterable[str]], source: str = "",
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        sentences.append(parse_tree(line, lineno, labeled))
+        sentences.append(parse_tree(line, lineno))
     if not sentences:
         raise TreeParseError("no trees in input")
     return Treebank(sentences, source=source)
 
 
-def load_trees(path, labeled: bool = True) -> Treebank:
+def load_trees(path) -> Treebank:
     with open(path, encoding="utf-8") as fh:
-        return read_trees(fh, source=str(path), labeled=labeled)
+        return read_trees(fh, source=str(path))
 
 
 def format_tree(t: Tree) -> str:

@@ -259,6 +259,9 @@ def test_train_config_file_layering(workspace, tmp_path):
     ("tie_policy = middle", "tie_policy must be 'left' or 'right'"),
     ("l1 = -2", "l1 must be at least 0"),
     ("batch_size = 0", "batch_size must be at least 1"),
+    ("lr = nan", "lr must be positive"),
+    ("lr = -0.5", "lr must be positive"),
+    ("hidden_dim = 100000000", "more than the limit of"),
 ])
 def test_train_config_file_bad_value_is_data_error(workspace, tmp_path,
                                                   capsys, line, message):
@@ -268,7 +271,8 @@ def test_train_config_file_bad_value_is_data_error(workspace, tmp_path,
     rc = main(["train", "--gold", str(workspace / "gold.trees"),
                "--out", str(out), "--config", str(cfg), "--epochs", "1"])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
 
 

@@ -12,11 +12,11 @@ from conftest import random_binary_tree, simulated_ensemble, tallies
 
 
 def t_balanced():
-    return tb.parse_tree("((a b) (c d))", labeled=False)
+    return tb.parse_tree("(X (X a b) (X c d))")
 
 
 def t_comb():
-    return tb.parse_tree("(a (b (c d)))", labeled=False)
+    return tb.parse_tree("(X a (X b (X c d)))")
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ def test_f1_identity_is_100():
 
 
 def test_f1_two_word_sentence_always_100():
-    a = tb.parse_tree("(a b)", labeled=False)
-    b = tb.parse_tree("(a b)", labeled=False)
+    a = tb.parse_tree("(X a b)")
+    b = tb.parse_tree("(X a b)")
     assert metrics.sentence_f1(a, b) == 100.0
 
 
@@ -88,13 +88,13 @@ def test_f1_single_word_both_empty_scores_100():
 
 
 def test_f1_one_sided_empty_scores_0():
-    pred = tb.parse_tree("((a b) (c d))", labeled=False)
+    pred = tb.parse_tree("(X (X a b) (X c d))")
     gold = t_balanced()
     got = metrics.sentence_f1(pred, gold, include_full_span=False)
     assert got == 100.0  # same shape, both non-empty
     # no-full-span pred brackets vs a gold comb sharing none
-    p = tb.parse_tree("((a b) c)", labeled=False)
-    g = tb.parse_tree("(a (b c))", labeled=False)
+    p = tb.parse_tree("(X (X a b) c)")
+    g = tb.parse_tree("(X a (X b c))")
     assert metrics.sentence_f1(p, g, include_full_span=False) == 0.0
 
 
@@ -238,7 +238,7 @@ def test_agreement_tie_breaks_by_first_occurrence():
     tokens = list("abcd")
     a = tb.right_branching(tokens)
     b = tb.left_branching(tokens)
-    c = tb.parse_tree("((a b) (c d))", labeled=False)
+    c = tb.parse_tree("(X (X a b) (X c d))")
     parses = [b, a, b, a, b, a, b, a, b, a, c, c, c, c, c]
     modal, n_a = metrics.agreement_groups(parses)
     assert n_a == 5

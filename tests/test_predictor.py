@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,10 +79,37 @@ def test_config_validation():
     ("hidden_dim", -3, "hidden_dim must be at least 1"),
     ("epochs", 0, "epochs must be at least 1"),
     ("batch_size", 0, "batch_size must be at least 1"),
+    ("lr", float("nan"), "lr must be positive"),
+    ("lr", 0.0, "lr must be positive"),
+    ("lr", -0.5, "lr must be positive"),
 ])
 def test_config_rejects_bad_field(field, value, message):
     with pytest.raises(ValueError, match=message):
         pr.TrainingConfig(**{field: value})
+
+
+def test_create_counts_every_parameter_against_the_limit(monkeypatch):
+    vocab = pr.Vocab.build([["a", "b", "c"]])
+    cfg = pr.TrainingConfig(l1=2, l2=1, embed_dim=5, hidden_dim=7)
+    m = pr.DistancePredictor.create(vocab, cfg, labels=("NP", "S"))
+    size = sum(arr.size for _, arr in m.params.blocks())
+    monkeypatch.setattr(pr, "MAX_PARAMETERS", size)
+    pr.DistancePredictor.create(vocab, cfg, labels=("NP", "S"))
+    monkeypatch.setattr(pr, "MAX_PARAMETERS", size - 1)
+    with pytest.raises(ValueError, match=f"model would have {size:,} "):
+        pr.DistancePredictor.create(vocab, cfg, labels=("NP", "S"))
+
+
+def test_create_rejects_an_oversize_model_before_allocating():
+    cfg = pr.TrainingConfig(hidden_dim=100_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the limit"):
+            pr.DistancePredictor.create(pr.Vocab.build([["a"]]), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_config_accepts_zero_context():

@@ -1,10 +1,13 @@
-"""The node-free tree scanner and the per-sentence vote tally.
+"""The one tree reader and the per-sentence vote tally.
 
-``treebank.scan_tree`` must read every labeled line as ``parse_tree``
-does, and fail on the same lines with the same message.
-``metrics.Tally`` must vote as the tree-based ``agreement_groups`` did;
-that function is kept below as a reference copy.
+``treebank.parse_tree`` and ``treebank.scan_tree`` must each read every
+line as the recursive reader they replaced did, and fail on the same
+lines with the same message.  ``metrics.Tally`` must vote as the
+tree-based ``agreement_groups`` did.  Both replaced functions are kept
+below as reference copies.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,51 @@ GAPS = st.sampled_from([" ", " ", "  ", "\t", ""])
 
 
 # ---------------------------------------------------------------------------
-# Reference
+# References
+
+
+_TOKEN_PAT = re.compile(r"\(|\)|[^()\s]+")
+
+
+def ref_parse_tree(line, lineno=None):
+    """``treebank.parse_tree`` as it was before the one reader, for
+    labeled notation."""
+    toks = _TOKEN_PAT.findall(line)
+    if not toks:
+        raise tb.TreeParseError("empty input", lineno)
+    pos = 0
+
+    def parse_expr():
+        nonlocal pos
+        if toks[pos] != "(":
+            tok = toks[pos]
+            pos += 1
+            return tb.Leaf(tok)
+        pos += 1  # consume "("
+        if pos >= len(toks):
+            raise tb.TreeParseError("unbalanced parentheses", lineno)
+        if toks[pos] in ("(", ")"):
+            raise tb.TreeParseError("node without a label", lineno)
+        label = toks[pos]
+        pos += 1
+        children = []
+        bare = []
+        while pos < len(toks) and toks[pos] != ")":
+            bare.append(toks[pos] != "(")
+            children.append(parse_expr())
+        if pos >= len(toks):
+            raise tb.TreeParseError("unbalanced parentheses", lineno)
+        pos += 1  # consume ")"
+        if not children:
+            raise tb.TreeParseError("empty node", lineno)
+        if len(children) == 1 and bare[0]:
+            return children[0]  # (TAG token) preterminal
+        return tb.Node(label, tuple(children))
+
+    tree = parse_expr()
+    if pos != len(toks):
+        raise tb.TreeParseError("unbalanced parentheses", lineno)
+    return tree
 
 
 def ref_agreement_groups(parses):
@@ -70,28 +117,36 @@ LINES = st.one_of(WORDS, groups()).flatmap(
     lambda line: st.tuples(GAPS, GAPS).map(lambda g: g[0] + line + g[1]))
 
 
-def scanned_like_parse(line):
-    t = tb.parse_tree(line)
+def ref_scan(line, lineno=None):
+    t = ref_parse_tree(line, lineno)
     return (tb.leaves(t), [(s, e) for s, e, _ in tb.spans(t)],
             tb.is_binary(t))
 
 
-def assert_scans_as_parsed(line):
-    """Same result, or the same error with the same message."""
+def assert_reads_as_reference(line):
+    """Same tree and scan, or the same error with the same message."""
     try:
-        want = scanned_like_parse(line)
+        want_tree = ref_parse_tree(line, 7)
     except tb.TreeParseError as exc:
-        with pytest.raises(tb.TreeParseError) as got:
-            tb.scan_tree(line, 7)
-        assert str(got.value) == f"line 7: {exc}"
+        for read in (tb.parse_tree, tb.scan_tree):
+            with pytest.raises(tb.TreeParseError) as got:
+                read(line, 7)
+            assert str(got.value) == str(exc)
         return
-    assert tb.scan_tree(line, 7) == want
+    assert tb.parse_tree(line, 7) == want_tree
+    assert tb.scan_tree(line, 7) == ref_scan(line)
+
+
+@FEW
+@given(LINES)
+def test_parse_matches_reference(line):
+    assert tb.parse_tree(line) == ref_parse_tree(line)
 
 
 @FEW
 @given(LINES)
 def test_scan_matches_parse_tree(line):
-    assert tb.scan_tree(line) == scanned_like_parse(line)
+    assert tb.scan_tree(line) == ref_scan(line)
 
 
 def test_scan_examples():
@@ -109,17 +164,17 @@ def test_scan_examples():
 def test_scan_splits_where_parse_tree_does(space):
     # "\u200b" is not whitespace: it joins the tokens around it, and the
     # line no longer parses
-    assert_scans_as_parsed(f"(S{space}(NP{space}a{space}b){space}c)")
+    assert_reads_as_reference(f"(S{space}(NP{space}a{space}b){space}c)")
 
 
 @FEW
 @given(LINES, st.data())
 def test_scan_fails_as_parse_tree_does(line, data):
-    # an edit that keeps the line valid must still scan as it parses
+    # an edit that keeps the line valid must still read as the reference
     pos = data.draw(st.integers(0, len(line)))
     cut = data.draw(st.integers(0, 3))
     extra = data.draw(st.sampled_from(["", "(", ")", "( ", " x", "(X"]))
-    assert_scans_as_parsed(line[:pos] + extra + line[pos + cut:])
+    assert_reads_as_reference(line[:pos] + extra + line[pos + cut:])
 
 
 @pytest.mark.parametrize("line", [
@@ -127,10 +182,28 @@ def test_scan_fails_as_parse_tree_does(line, data):
     "(X a))", "(X a) (Y b)", "(X a) b", "(X a(Y b)", "( )"])
 def test_scan_malformed_examples(line):
     with pytest.raises(tb.TreeParseError) as want:
-        tb.parse_tree(line, 3)
-    with pytest.raises(tb.TreeParseError) as got:
-        tb.scan_tree(line, 3)
-    assert str(got.value) == str(want.value)
+        ref_parse_tree(line, 3)
+    for read in (tb.parse_tree, tb.scan_tree):
+        with pytest.raises(tb.TreeParseError) as got:
+            read(line, 3)
+        assert str(got.value) == str(want.value)
+
+
+def test_reader_takes_a_100k_word_right_branching_line():
+    n = 100_000
+    words = [f"w{i}" for i in range(n)]
+    line = "".join(f"(X {w} " for w in words[:-1]) + words[-1] + ")" * (n - 1)
+    got_words, node_spans, binary = tb.scan_tree(line)
+    assert got_words == words and binary
+    assert node_spans == [(i, n) for i in range(n - 2, -1, -1)]
+    for t in (tb.parse_tree(line), tb.read_trees([line]).sentences[0]):
+        # walked down the spine: a recursive == or repr would overflow
+        node = t
+        for w in words[:-1]:
+            assert type(node) is tb.Node and node.label == "X"
+            left, node = node.children
+            assert left == tb.Leaf(w)
+        assert node == tb.Leaf(words[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -50,18 +50,6 @@ def test_parse_error_line_number_counts_from_file_start():
         tb.read_trees(text)
 
 
-def test_parse_unlabeled_notation():
-    t = tb.parse_tree("((a b) (c d))", labeled=False)
-    assert t == tb.Node(None, (
-        tb.Node(None, (tb.Leaf("a"), tb.Leaf("b"))),
-        tb.Node(None, (tb.Leaf("c"), tb.Leaf("d"))),
-    ))
-
-
-def test_parse_unlabeled_singleton_group_collapses():
-    assert tb.parse_tree("(a)", labeled=False) == tb.Leaf("a")
-
-
 def test_read_trees_keeps_line_order():
     bank = tb.read_trees("(X (A a) (B b))\n(Y (C c))\n")
     assert [tb.leaves(t) for t in bank] == [["a", "b"], ["c"]]
@@ -214,12 +202,13 @@ def test_single_leaf_formats_as_bracketed_token():
 
 
 def test_tree_stats_leaf():
-    assert tb.tree_stats(tb.Leaf("a")) == tb.TreeStats(1, 0)
+    leaf = tb.Leaf("a")
+    assert (tb.leaf_count(leaf), tb.tree_depth(leaf)) == (1, 0)
 
 
 def test_tree_stats_pair():
     t = tb.Node("X", (tb.Leaf("a"), tb.Leaf("b")))
-    assert tb.tree_stats(t) == tb.TreeStats(2, 1)
+    assert (tb.leaf_count(t), tb.tree_depth(t)) == (2, 1)
 
 
 def test_tree_stats_balanced_eight():
@@ -230,7 +219,7 @@ def test_tree_stats_balanced_eight():
         return tb.Node("X", (balanced(tokens[:mid]), balanced(tokens[mid:])))
 
     t = balanced([f"w{i}" for i in range(8)])
-    assert tb.tree_stats(t) == tb.TreeStats(8, 3)
+    assert (tb.leaf_count(t), tb.tree_depth(t)) == (8, 3)
 
 
 def test_depth_lower_bound_for_binary_trees():
@@ -238,9 +227,9 @@ def test_depth_lower_bound_for_binary_trees():
     for _ in range(100):
         n = int(rng.integers(1, 20))
         t = random_binary_tree([f"w{i}" for i in range(n)], rng)
-        st = tb.tree_stats(t)
-        assert st.depth >= math.ceil(math.log2(st.length))
-        assert (st.depth == 0) == (st.length == 1)
+        length, depth = tb.leaf_count(t), tb.tree_depth(t)
+        assert depth >= math.ceil(math.log2(length))
+        assert (depth == 0) == (length == 1)
 
 
 # ---------------------------------------------------------------------------
