@@ -5,14 +5,15 @@ ranking of real values (larger value = higher split):
 
 * latent distances ("dl"): one value per word; the value at word k marks
   how high the constituent opened by word k attaches.  Word 0 is fixed
-  at 1 and every split boundary receives ``max_depth`` minus its
-  recursion depth.
+  at 1 and every split boundary receives ``max_depth`` minus the depth
+  of its node.
 * gap distances ("dg"): one value per adjacent-word gap, equal to the
   height of the lowest common ancestor of the two words.
 
-Both encoders derive from one in-order walk.  There is one decoder: it
-splits a span at its maximal gap value and recurses, ties breaking
+Both encoders derive from ``treebank.walk``.  There is one decoder, a
+monotone stack: a span splits at its maximal gap value, ties breaking
 leftmost by default; a dl vector decodes as the gap vector ``dl[1:]``.
+Nothing here recurses.
 The module also defines the JSON-lines record format used to store
 distance supervision on disk.
 """
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .treebank import Leaf, Node, Tree
+from .treebank import Leaf, Node, Tree, walk
 
 DEFAULT_MAX_DEPTH = 100
 
@@ -39,39 +41,39 @@ class RecordFormatError(ValueError):
         super().__init__(message)
 
 
-def _require_binary(t: Tree) -> None:
-    if isinstance(t, Node) and len(t.children) != 2:
-        raise ValueError(
-            f"tree is not binary: node with {len(t.children)} children")
-
-
 def _walk_splits(t: Tree):
-    """One in-order walk over a binary tree.
+    """Split order, depths and heights of a binary tree from its walk.
 
-    Split k is the internal node whose right child starts at word k; the
-    walk meets splits in gap order.  Returns the tokens, each split's
-    depth (the root's is 0), each split's height as a float, and the
-    root's height.
+    Split k is the internal node whose right child starts at word k.  A
+    node's right child, when internal, is the node just before it in
+    post-order, so its split is that node's start, else ``end - 1``.  A
+    split's depth is the number of other nodes whose spans cover its
+    gap.  Returns the tokens, each split's depth (the root's is 0) and
+    height as a float, in gap order, and the root's height.
     """
-    tokens: list[str] = []
-    depths: list[int] = []
-    heights: list[float] = []
-
-    def walk(node: Tree, depth: int) -> int:
-        if isinstance(node, Leaf):
-            tokens.append(node.token)
-            return 0
-        _require_binary(node)
+    tokens, nodes = walk(t)
+    cover = [0] * len(tokens)  # per gap, the change in covering spans
+    cover[0] = -1              # a split's own span does not count
+    heights = [0.0] * (len(tokens) - 1)
+    height = [0] * len(nodes)  # per node, in post-order
+    for i, (start, end, node) in enumerate(nodes):
+        if len(node.children) != 2:
+            raise ValueError(
+                f"tree is not binary: node with {len(node.children)} children")
         left, right = node.children
-        h_left = walk(left, depth + 1)
-        mark = len(heights)
-        depths.append(depth)
-        heights.append(0.0)  # placeholder until both heights are known
-        height = max(h_left, walk(right, depth + 1)) + 1
-        heights[mark] = float(height)
-        return height
-
-    return tokens, depths, heights, walk(t, 0)
+        if isinstance(right, Leaf):
+            split, h = end - 1, 1
+        else:
+            split, h = nodes[i - 1][0], height[i - 1] + 1
+        if not isinstance(left, Leaf):
+            # before the right subtree's end - split - 1 nodes
+            h = max(h, height[i - (end - split)] + 1)
+        height[i] = h
+        heights[split - 1] = float(h)
+        cover[start] += 1
+        cover[end - 1] -= 1
+    depths = list(accumulate(cover[:-1]))
+    return tokens, depths, heights, height[-1] if nodes else 0
 
 
 def _latent(depths: list[int], height: int, max_depth: int) -> list[float]:
@@ -99,17 +101,6 @@ def tree_to_gaps(t: Tree) -> list[float]:
     return heights
 
 
-def _argmax(values: Sequence[float], lo: int, hi: int, ties: str) -> int:
-    """Index of the maximum of values[lo:hi]; ties break per policy."""
-    if ties not in ("left", "right"):
-        raise ValueError(f"unknown tie policy: {ties!r}")
-    best = lo
-    for i in range(lo + 1, hi):
-        if values[i] > values[best] or (ties == "right" and values[i] == values[best]):
-            best = i
-    return best
-
-
 def latent_to_tree(d: Sequence[float], tokens: Sequence[str],
                    ties: str = "left") -> Tree:
     """Decode per-word distances.  Position 0 never splits and position
@@ -124,19 +115,37 @@ def latent_to_tree(d: Sequence[float], tokens: Sequence[str],
 
 def gaps_to_tree(d: Sequence[float], tokens: Sequence[str],
                  ties: str = "left") -> Tree:
-    """Decode per-gap distances: split at the maximal gap, recurse."""
+    """Decode per-gap distances: the tree that splits every span at its
+    maximal gap, the leftmost of equal ones under ``ties="left"`` and
+    the rightmost under ``"right"``.
+
+    A monotone stack holds the open splits, each with its finished left
+    subtree, in falling order.  A gap closes every open split lower than
+    itself, and under ``"right"`` the equal ones too, into its own left
+    subtree.  A NaN gap has no place in that order and is rejected.
+    """
     if len(d) != len(tokens) - 1:
         raise ValueError(f"got {len(d)} gap distances for {len(tokens)} tokens")
     if not tokens:
         raise ValueError("cannot decode an empty sentence")
-
-    def build(i: int, j: int) -> Tree:
-        if j - i == 1:
-            return Leaf(tokens[i])
-        g = _argmax(d, i, j - 1, ties)
-        return Node(None, (build(i, g + 1), build(g + 1, j)))
-
-    return build(0, len(tokens))
+    if ties not in ("left", "right"):
+        raise ValueError(f"unknown tie policy: {ties!r}")
+    right_ties = ties == "right"
+    values: list = []  # the open splits' gap values
+    lefts: list = []   # and their left subtrees
+    tree: Tree = Leaf(tokens[0])
+    for k, v in enumerate(d, 1):
+        if v != v:
+            raise ValueError(f"cannot decode a NaN distance at gap {k - 1}")
+        while values and (values[-1] < v or right_ties and values[-1] == v):
+            values.pop()
+            tree = Node(None, (lefts.pop(), tree))
+        values.append(v)
+        lefts.append(tree)
+        tree = Leaf(tokens[k])
+    while lefts:
+        tree = Node(None, (lefts.pop(), tree))
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .treebank import (Tree, Treebank, base_label, leaves, parse_tree, spans,
-                       tree_depth)
+                       tree_depth, walk)
 
 # Sentence-length buckets used by the analysis tables: a length L falls
 # into the first bucket with lo < L <= hi.
@@ -40,7 +40,12 @@ def brackets(t: Tree, include_full_span: bool = True,
     are never included.  With ``labeled``, spans carry their base label
     (binarization marks stripped, missing labels become "").
     """
-    nodes = spans(t)
+    return _brackets(spans(t), include_full_span, labeled)
+
+
+def _brackets(nodes: list, include_full_span: bool = True,
+              labeled: bool = False) -> frozenset:
+    """``brackets`` of a tree from its ``walk`` nodes."""
     widest = nodes[-1][1] if nodes else 0  # the root, last, covers every word
     if not include_full_span:
         widest -= 1
@@ -58,10 +63,24 @@ def sentence_f1(pred: Tree, gold: Tree, include_full_span: bool = True,
 
     Both bracket sets empty scores 100; exactly one empty scores 0.
     """
-    if leaves(pred) != leaves(gold):
+    _, pred_nodes, gold_nodes = _walk_pair(pred, gold)
+    return _nodes_f1(pred_nodes, gold_nodes, include_full_span, labeled)
+
+
+def _walk_pair(pred: Tree, gold: Tree):
+    """The words two trees share, and each tree's ``walk`` nodes."""
+    words, pred_nodes = walk(pred)
+    gold_words, gold_nodes = walk(gold)
+    if words != gold_words:
         raise ValueError("predicted and gold trees cover different words")
-    p = brackets(pred, include_full_span, labeled)
-    g = brackets(gold, include_full_span, labeled)
+    return words, pred_nodes, gold_nodes
+
+
+def _nodes_f1(pred_nodes: list, gold_nodes: list, include_full_span: bool,
+              labeled: bool) -> float:
+    """``sentence_f1`` from the two trees' ``walk`` nodes."""
+    p = _brackets(pred_nodes, include_full_span, labeled)
+    g = _brackets(gold_nodes, include_full_span, labeled)
     if not p and not g:
         return 100.0
     if not p or not g:
@@ -102,15 +121,17 @@ def corpus_eval(pred: Treebank, gold: Treebank, include_full_span: bool = True,
     labeled_scores = []
     by_bucket: dict = {}
     for i, (p, g) in enumerate(zip(pred, gold)):
+        # one walk per tree serves both scores and the bucket length
         try:
-            f1 = sentence_f1(p, g, include_full_span, labeled=False)
+            words, p_nodes, g_nodes = _walk_pair(p, g)
         except ValueError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
+        f1 = _nodes_f1(p_nodes, g_nodes, include_full_span, labeled=False)
         scores.append(f1)
         if labeled:
             labeled_scores.append(
-                sentence_f1(p, g, include_full_span, labeled=True))
-        by_bucket.setdefault(bucket_index(len(leaves(g))), []).append(f1)
+                _nodes_f1(p_nodes, g_nodes, include_full_span, labeled=True))
+        by_bucket.setdefault(bucket_index(len(words)), []).append(f1)
     macro = sum(scores) / len(scores)
     buckets = []
     for i, (lo, hi) in enumerate(LENGTH_BUCKETS):

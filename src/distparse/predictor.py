@@ -562,6 +562,7 @@ class _Encoded(NamedTuple):
     dl: np.ndarray
     dg: np.ndarray
     spans: Optional[np.ndarray]  # (S, 3) gold (start, end, label id)
+    unknown: int  # gold spans whose label the head has never seen
 
 
 def _encode(model: DistancePredictor, ex: TrainExample) -> _Encoded:
@@ -571,10 +572,11 @@ def _encode(model: DistancePredictor, ex: TrainExample) -> _Encoded:
             f"length mismatch: {len(ids)} words, {len(ex.dl)} latent "
             f"and {len(ex.dg)} gap distances")
     spans = None
+    unknown = 0
     if model.labels is not None and ex.tree is not None:
-        found, _ = gold_label_spans(model, ex.tree)
+        found, unknown = gold_label_spans(model, ex.tree)
         spans = np.array(found, dtype=np.int64).reshape(-1, 3)
-    return _Encoded(ids, ex.dl, ex.dg, spans)
+    return _Encoded(ids, ex.dl, ex.dg, spans, unknown)
 
 
 def _packed_gradients(model: DistancePredictor, batch: Sequence[_Encoded],
@@ -696,29 +698,12 @@ def collect_labels(examples: Sequence[TrainExample]):
     or None when no example carries a labeled tree."""
     names = set()
     for ex in examples:
-        if ex.tree is None:
-            continue
-        stack = [ex.tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, treebank.Node):
+        if ex.tree is not None:
+            for _, _, node in treebank.spans(ex.tree):
                 name = treebank.base_label(node.label)
                 if name:
                     names.add(name)
-                stack.extend(node.children)
     return sorted(names) if names else None
-
-
-def count_unknown_labels(model: DistancePredictor,
-                         examples: Sequence[TrainExample]) -> int:
-    if model.labels is None:
-        return 0
-    total = 0
-    for ex in examples:
-        if ex.tree is not None:
-            _, unknown = gold_label_spans(model, ex.tree)
-            total += unknown
-    return total
 
 
 def train(model: DistancePredictor, gold: Sequence[TrainExample],
@@ -734,11 +719,11 @@ def train(model: DistancePredictor, gold: Sequence[TrainExample],
     """
     if not gold and not silver:
         raise ValueError("both training sets are empty")
-    unknown = count_unknown_labels(model, gold)
+    gold = [_encode(model, ex) for ex in gold]
+    unknown = sum(ex.unknown for ex in gold)
     if unknown:
         log.warning("%d gold constituents carry labels outside the label "
                     "vocabulary; mapped to %s", unknown, UNK_LABEL)
-    gold = [_encode(model, ex) for ex in gold]
     silver = [_encode(model, ex) for ex in silver]
     rng = np.random.default_rng(config.seed)
     steps = max(1, math.ceil((len(gold) + len(silver)) / config.batch_size))

@@ -11,12 +11,18 @@ Part-of-speech preterminals are dropped at read time: the innermost
 ``(TAG token)`` pairs become bare leaves.  One iterative reader,
 ``_read_line``, reads every line of every tree file: ``parse_tree``
 builds nodes from its spans and ``scan_tree`` returns the spans alone.
+One explicit-stack walk, ``walk``, gives a tree's words and post-order
+spans, and every reader of tree shape (``leaves``, ``spans``,
+``tree_depth``, ``format_tree``, ...) derives from it.  No function here
+recurses, so tree depth is bounded only by memory; the generated ``==``,
+``hash`` and ``repr`` of ``Leaf`` and ``Node`` still do.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 # Labels invented during binarization end with this mark so labeled
@@ -63,55 +69,60 @@ class Treebank:
         return iter(self.sentences)
 
 
+def walk(t: Tree):
+    """The one walk over a tree, with an explicit stack.
+
+    Returns ``(words, nodes)``: the leaf tokens left to right, and
+    ``(start, end, node)`` for every internal node in post-order.
+    Offsets count words, end exclusive.  Children come before their
+    parent and left before right, so the root is last; unary nodes are
+    included, so widths may be 1 and spans may repeat.  Every other
+    reader of tree shape derives from this walk.
+    """
+    words: list = []
+    nodes: list = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        cls = item.__class__
+        if cls is Leaf:
+            words.append(item.token)
+        elif cls is tuple:  # a node whose words are all read
+            nodes.append((item[0], len(words), item[1]))
+        else:
+            stack.append((len(words), item))
+            stack += item.children[::-1]
+    return words, nodes
+
+
 def leaves(t: Tree) -> list[str]:
     """Leaf tokens in left-to-right order."""
-    if isinstance(t, Leaf):
-        return [t.token]
-    out: list[str] = []
-    for c in t.children:
-        out.extend(leaves(c))
-    return out
+    return walk(t)[0]
 
 
 def leaf_count(t: Tree) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    return len(walk(t)[0])
 
 
 def tree_depth(t: Tree) -> int:
-    """Longest root-to-leaf path, counted in edges."""
-    if isinstance(t, Leaf):
-        return 0
-    return 1 + max(tree_depth(c) for c in t.children)
+    """Longest root-to-leaf path, counted in edges: the largest number of
+    internal nodes whose spans cover one word."""
+    words, nodes = walk(t)
+    change = [0] * (len(words) + 1)  # per word, the change in covering spans
+    for start, end, _ in nodes:
+        change[start] += 1
+        change[end] -= 1
+    return max(accumulate(change))
 
 
 def is_binary(t: Tree) -> bool:
-    if isinstance(t, Leaf):
-        return True
-    return len(t.children) == 2 and all(is_binary(c) for c in t.children)
+    return all(len(node.children) == 2 for _, _, node in walk(t)[1])
 
 
 def spans(t: Tree) -> list:
-    """(start, end, node) for every internal node, in post-order.
-
-    Offsets count words, end exclusive.  Children come before their
-    parent and left before right, so the root is last; unary nodes are
-    included, so widths may be 1 and spans may repeat.
-    """
-    out = []
-
-    def walk(node: Tree, start: int) -> int:
-        if isinstance(node, Leaf):
-            return start + 1
-        end = start
-        for c in node.children:
-            end = walk(c, end)
-        out.append((start, end, node))
-        return end
-
-    walk(t, 0)
-    return out
+    """(start, end, node) for every internal node, in post-order, as
+    ``walk`` gives them."""
+    return walk(t)[1]
 
 
 def base_label(label: Optional[str]) -> Optional[str]:
@@ -172,9 +183,9 @@ def _read_line(line: str, lineno: Optional[int] = None):
     if not toks:
         raise TreeParseError("empty input", lineno)
     if toks[0] != "(":
-        if len(toks) != 1:
+        if len(toks) != 1 or toks[0] == ")":
             raise TreeParseError("unbalanced parentheses", lineno)
-        return toks, [], [], True  # a bare token reads as one leaf
+        return toks, [], [], True  # a bare word reads as one leaf
     words: list = []
     out: list = []
     labels: list = []
@@ -240,18 +251,23 @@ def load_trees(path) -> Treebank:
 
 
 def format_tree(t: Tree) -> str:
-    """Serialize a tree to one line; leaves are written bare."""
+    """Serialize a tree to one line; leaves are written bare.
+
+    Each node's bracket opens before its first word and closes after its
+    last, outer brackets outside inner ones.
+    """
     if isinstance(t, Leaf):
         # a bare token is not a tree expression on its own
         return f"({UNLABELED} {t.token})"
-    return _format(t)
-
-
-def _format(t: Tree) -> str:
-    if isinstance(t, Leaf):
-        return t.token
-    label = t.label if t.label is not None else UNLABELED
-    return "(" + label + " " + " ".join(_format(c) for c in t.children) + ")"
+    words, nodes = walk(t)
+    opens: list = [[] for _ in words]  # per word, outermost first
+    shuts = [0] * len(words)
+    for start, end, node in reversed(nodes):
+        label = node.label
+        opens[start].append("(" + (UNLABELED if label is None else label) + " ")
+        shuts[end - 1] += 1
+    return " ".join(["".join(o) + w + ")" * k
+                     for o, w, k in zip(opens, words, shuts)])
 
 
 def write_trees(tb: Treebank, stream) -> None:
@@ -277,28 +293,53 @@ def binarize(t: Tree, direction: str = "right") -> Tree:
     as ((c1 ... c_{k-1}), ck).  Artificial nodes reuse the parent label
     with a trailing mark.  A unary chain keeps its outermost label; a
     chain ending directly in a leaf reduces to that leaf.
+
+    An explicit stack plans the output tree in pre-order and
+    ``_build`` assembles it bottom-up.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"unknown binarize direction: {direction!r}")
-    if isinstance(t, Leaf):
-        return t
-    label, children = t.label, t.children
-    while len(children) == 1:
-        only = children[0]
-        if isinstance(only, Leaf):
-            return only
-        children = only.children
-    if len(children) == 2:
-        return Node(label, (binarize(children[0], direction),
-                            binarize(children[1], direction)))
-    art = _artificial_label(label)
-    if direction == "right":
-        rest = Node(art, children[1:])
-        return Node(label, (binarize(children[0], direction),
-                            binarize(rest, direction)))
-    rest = Node(art, children[:-1])
-    return Node(label, (binarize(rest, direction),
-                        binarize(children[-1], direction)))
+    plan: list = []
+    todo = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Node):
+            label, children = item.label, item.children
+            while len(children) == 1 and isinstance(children[0], Node):
+                children = children[0].children
+            if len(children) == 1:
+                item = children[0]  # a chain ending in a leaf
+        if isinstance(item, Leaf):
+            plan.append(item)
+            continue
+        plan.append((label, 2))
+        if len(children) == 2:
+            left, right = children
+        elif direction == "right":
+            left, right = children[0], Node(_artificial_label(label), children[1:])
+        else:
+            left, right = Node(_artificial_label(label), children[:-1]), children[-1]
+        todo.append(right)
+        todo.append(left)
+    return _build(plan)
+
+
+def _build(plan: list) -> Tree:
+    """The tree whose pre-order is ``plan``, built bottom-up.
+
+    Each entry is a ``Leaf``, or a ``(label, k)`` pair for a node over
+    the k >= 1 subtrees that follow it.
+    """
+    built: list = []  # finished subtrees, the leftmost on top
+    for item in reversed(plan):
+        if isinstance(item, Leaf):
+            built.append(item)
+            continue
+        label, k = item
+        children = tuple(built[:-k - 1:-1])
+        del built[-k:]
+        built.append(Node(label, children))
+    return built[0]
 
 
 def _artificial_label(label: Optional[str]) -> str:
@@ -316,28 +357,37 @@ def _artificial_label(label: Optional[str]) -> str:
 def right_branching(tokens: Sequence[str]) -> Tree:
     if not tokens:
         raise ValueError("cannot build a tree over zero tokens")
-    if len(tokens) == 1:
-        return Leaf(tokens[0])
-    return Node(None, (Leaf(tokens[0]), right_branching(tokens[1:])))
+    tree: Tree = Leaf(tokens[-1])
+    for i in range(len(tokens) - 2, -1, -1):
+        tree = Node(None, (Leaf(tokens[i]), tree))
+    return tree
 
 
 def left_branching(tokens: Sequence[str]) -> Tree:
     if not tokens:
         raise ValueError("cannot build a tree over zero tokens")
-    if len(tokens) == 1:
-        return Leaf(tokens[-1])
-    return Node(None, (left_branching(tokens[:-1]), Leaf(tokens[-1])))
+    tree: Tree = Leaf(tokens[0])
+    for i in range(1, len(tokens)):
+        tree = Node(None, (tree, Leaf(tokens[i])))
+    return tree
 
 
 def random_binary(tokens: Sequence[str], rng: random.Random) -> Tree:
-    """Uniformly random split point at every level."""
+    """Uniformly random split point at every level, drawn in pre-order."""
     if not tokens:
         raise ValueError("cannot build a tree over zero tokens")
-    if len(tokens) == 1:
-        return Leaf(tokens[0])
-    k = rng.randrange(1, len(tokens))
-    return Node(None, (random_binary(tokens[:k], rng),
-                       random_binary(tokens[k:], rng)))
+    plan: list = []
+    todo = [(0, len(tokens))]
+    while todo:
+        i, j = todo.pop()
+        if j - i == 1:
+            plan.append(Leaf(tokens[i]))
+            continue
+        k = i + rng.randrange(1, j - i)
+        plan.append((None, 2))
+        todo.append((k, j))
+        todo.append((i, k))
+    return _build(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +464,7 @@ def gen_synthetic(grammar: Union[str, Grammar], n: int, seed: int,
     for _ in range(n):
         tree = None
         for _attempt in range(_MAX_ATTEMPTS):
-            tree = _sample(grammar, grammar.start, rng, [budget_cap])
+            tree = _sample(grammar, rng, budget_cap)
             if tree is not None and leaf_count(tree) <= max_len:
                 break
             tree = None
@@ -449,20 +499,23 @@ def _require_productive_start(grammar: Grammar) -> None:
             f"start symbol {grammar.start!r} derives no finite sentence")
 
 
-def _sample(grammar: Grammar, symbol: str, rng: random.Random,
-            budget: list) -> Optional[Tree]:
-    if symbol not in grammar.rules:
-        return Leaf(symbol)
-    if budget[0] <= 0:
-        return None  # runaway derivation; abort this attempt
-    budget[0] -= 1
-    expansions = grammar.rules[symbol]
-    weights = [w for _, w in expansions]
-    rhs, _ = rng.choices(expansions, weights=weights, k=1)[0]
-    children = []
-    for sym in rhs:
-        child = _sample(grammar, sym, rng, budget)
-        if child is None:
-            return None
-        children.append(child)
-    return Node(symbol, tuple(children))
+def _sample(grammar: Grammar, rng: random.Random,
+            budget: int) -> Optional[Tree]:
+    """One derivation from the start symbol, expanded in pre-order; None
+    once more than ``budget`` nonterminals would be expanded."""
+    plan: list = []
+    todo = [grammar.start]
+    while todo:
+        symbol = todo.pop()
+        if symbol not in grammar.rules:
+            plan.append(Leaf(symbol))
+            continue
+        if budget <= 0:
+            return None  # runaway derivation; abort this attempt
+        budget -= 1
+        expansions = grammar.rules[symbol]
+        weights = [w for _, w in expansions]
+        rhs, _ = rng.choices(expansions, weights=weights, k=1)[0]
+        plan.append((symbol, len(rhs)))
+        todo.extend(reversed(rhs))
+    return _build(plan)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from distparse import distance as dist
+from distparse import predictor as pr
 from distparse import treebank as tb
 from distparse.cli import main
 
@@ -453,3 +454,100 @@ def test_gen_binarized_trees_output(tmp_path):
     assert rc == 0
     for t in tb.load_trees(trees_out):
         assert tb.is_binary(t)
+
+
+# ---------------------------------------------------------------------------
+# Malformed and deep input
+
+
+def test_lone_close_paren_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "paren.trees"
+    bad.write_text(")\n")
+    assert main(["eval", "--pred", str(bad), "--gold", str(bad)]) == 2
+    assert "line 1: unbalanced parentheses" in capsys.readouterr().err
+
+
+def test_nan_model_output_is_data_error(workspace, tmp_path, capsys):
+    model = pr.DistancePredictor.load(workspace / "model.npz")
+    for _, arr in model.params.blocks():
+        arr.fill(np.nan)
+    model.save(tmp_path / "nan.npz")
+    assert main(["parse", "--model", str(tmp_path / "nan.npz"),
+                 "--in", str(workspace / "sents.txt"),
+                 "--out", str(tmp_path / "o.trees")]) == 2
+    assert "cannot decode a NaN distance" in capsys.readouterr().err
+
+
+DEEP = 5000
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """A 5000-word right-branching tree line, its sentence and a
+    left-branching tree over the same words."""
+    d = tmp_path_factory.mktemp("deep")
+    words = [f"w{i}" for i in range(DEEP)]
+    line = tb.format_tree(tb.right_branching(words))
+    (d / "right.trees").write_text(line + "\n")
+    (d / "left.trees").write_text(tb.format_tree(tb.left_branching(words)) + "\n")
+    (d / "sent.txt").write_text(" ".join(words) + "\n")
+    return d, words, line
+
+
+def test_deep_tree_eval_and_buckets(deep, tmp_path, capsys):
+    d, _, _ = deep
+    right = str(d / "right.trees")
+    assert main(["eval", "--pred", right, "--gold", right]) == 0
+    assert "macro_f1=100.0000" in capsys.readouterr().out
+    out = tmp_path / "buckets.csv"
+    assert main(["analyze", "--report", "buckets",
+                 "--baseline", str(d / "left.trees"), "--selftrained", right,
+                 "--gold", right, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == ">40,1,100.0000,100.0000"
+
+
+def test_deep_tree_converts_and_round_trips(deep, tmp_path):
+    d, _, line = deep
+    records = tmp_path / "deep.jsonl"
+    back = tmp_path / "back.trees"
+    assert main(["convert", "--mode", "tree2dg", "--binarize", "none",
+                 "--max-depth", "10000", "--in", str(d / "right.trees"),
+                 "--out", str(records)]) == 0
+    assert main(["convert", "--mode", "dg2tree", "--in", str(records),
+                 "--out", str(back)]) == 0
+    assert back.read_text() == line + "\n"
+
+
+def test_deep_tree_over_default_depth_is_data_error(deep, tmp_path, capsys):
+    d, _, _ = deep
+    message = f"tree depth {DEEP - 1} >= max_depth 100"
+    assert main(["convert", "--mode", "tree2dl", "--in", str(d / "right.trees"),
+                 "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["train", "--gold", str(d / "right.trees"),
+                 "--out", str(tmp_path / "m.npz"), "--epochs", "1",
+                 "--hidden", "4", "--embed", "2", "--l1", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_deep_sentence_parses(deep, workspace, tmp_path):
+    d, words, _ = deep
+    out = tmp_path / "deep.trees"
+    assert main(["parse", "--model", str(workspace / "model.npz"),
+                 "--in", str(d / "sent.txt"), "--out", str(out)]) == 0
+    words_read, node_spans, binary = tb.scan_tree(out.read_text())
+    assert words_read == words and binary and len(node_spans) == DEEP - 1
+
+
+def test_gen_right_recursive_grammar_at_length_5000(tmp_path):
+    grammar = tmp_path / "deep.cfg"
+    grammar.write_text("S -> a S : 1000\nS -> a : 1\n")
+    sents, trees = tmp_path / "s.txt", tmp_path / "t.trees"
+    assert main(["gen-synthetic", "--grammar", str(grammar), "--n", "2",
+                 "--seed", "1", "--max-len", str(DEEP), "--out", str(sents),
+                 "--trees-out", str(trees), "--binarize", "right"]) == 0
+    lengths = [len(s.split()) for s in sents.read_text().splitlines()]
+    assert len(lengths) == 2 and max(lengths) > 1000
+    for line, n in zip(trees.read_text().splitlines(), lengths):
+        words, node_spans, binary = tb.scan_tree(line)
+        assert len(words) == n and binary and len(node_spans) == n - 1

@@ -1,6 +1,7 @@
 """The distance predictor: forward pass, losses, gradients, training."""
 
 import json
+import logging
 import math
 import tracemalloc
 
@@ -339,13 +340,17 @@ def test_label_id_mapping():
     assert m.label_id(None) == 0
 
 
-def test_unknown_labels_counted():
+def test_unknown_labels_counted(caplog):
     m = labeled_tiny(np.zeros((3, 3)), np.zeros(3))
     weird = tb.Node("WEIRD", (tb.Leaf("x"), tb.Leaf("y")))
     spans, unknown = pr.gold_label_spans(m, weird)
     assert spans == [(0, 2, 0)]
     assert unknown == 1
-    assert pr.count_unknown_labels(m, [pr.TrainExample.from_tree(weird)]) == 1
+    # train sums the same count while it encodes the gold set
+    with caplog.at_level(logging.WARNING, logger=pr.log.name):
+        pr.train(m, [pr.TrainExample.from_tree(weird)], [],
+                 pr.TrainingConfig(epochs=1, batch_size=1))
+    assert "1 gold constituents carry labels outside" in caplog.text
 
 
 def test_label_loss_requires_head_and_tree():

